@@ -11,13 +11,17 @@
 //! dirty endpoint. Because pair distances attain their maxima exactly at
 //! event boundaries (the piecewise-linear invariant the old inline checks
 //! relied on), checking dirty pairs at every event remains exhaustive.
+//! [`StrongVisibilityMonitor`] narrows even the dirty pairs down, to grid
+//! neighbours and acquired partners, and the diameter runs through the
+//! pruned kernel of [`cohesion_geometry::diameter`] — so no monitor scans
+//! all `n` robots per dirty robot.
 //!
 //! [`Configuration`]: cohesion_model::Configuration
 
 use crate::report::CohesionViolation;
 use cohesion_geometry::hull::convex_hull;
 use cohesion_geometry::point::Point;
-use cohesion_geometry::{ConvexHull, Vec2};
+use cohesion_geometry::{ConvexHull, DynamicGrid, Vec2};
 use cohesion_model::frame::Ambient;
 use cohesion_model::RobotPair;
 use std::collections::BTreeSet;
@@ -58,17 +62,13 @@ pub trait Monitor<P: Ambient> {
 }
 
 /// The configuration diameter of a position set: maximum pairwise distance
-/// (`0` for fewer than two robots). Identical arithmetic to
-/// [`Configuration::diameter`](cohesion_model::Configuration::diameter), so
-/// reports are bit-for-bit reproducible across the two paths.
+/// (`0` for fewer than two robots). The exact pruned kernel of
+/// [`cohesion_geometry::diameter`], shared with
+/// [`Configuration::diameter`](cohesion_model::Configuration::diameter) —
+/// linear work on swarms with a few extreme points, and bit-identical to
+/// the all-pairs maximum.
 pub fn diameter_of<P: Point>(positions: &[P]) -> f64 {
-    let mut best = 0.0_f64;
-    for i in 0..positions.len() {
-        for j in (i + 1)..positions.len() {
-            best = best.max(positions[i].dist(positions[j]));
-        }
-    }
-    best
+    cohesion_geometry::diameter::diameter(positions)
 }
 
 /// Watches the Cohesive Convergence clause `E(0) ⊆ E(t)`: every initially
@@ -181,40 +181,81 @@ impl<P: Ambient> Monitor<P> for CohesionMonitor {
 /// ever comes within `V/2` must stay within `V` forever after.
 ///
 /// Membership of the "acquired" set is a monotone property of pair-distance
-/// history, so the dirty-set sweep (`O(|dirty| · n)` per event instead of
-/// `O(n²)`) observes exactly the same acquisitions and violations as the
-/// historical all-pairs sweep: a pair with no dirty endpoint has the same
-/// distance as at the previous event, where its status was already settled.
-/// The constructor seeds the set from the initial positions (equivalently,
-/// the positions at the first event — nothing moves before it).
-pub struct StrongVisibilityMonitor {
+/// history, so re-judging only pairs with a dirty endpoint observes exactly
+/// the acquisitions and violations of the historical all-pairs sweep: a pair
+/// with no dirty endpoint has the same distance as at the previous event,
+/// where its status was already settled. Neither judgement needs every
+/// partner of a dirty robot:
+///
+/// * an acquisition needs `d ≤ V/2 + tol`, so its candidates are the robots
+///   in the grid cells (edge `V/2 + tol`) around the dirty robot, in a
+///   [`DynamicGrid`] over the current positions in which only the dirty
+///   robots relocate;
+/// * a violation needs `d > V + tol` *and* an already-acquired partner, so
+///   it scans the robot's row of the acquired bitset (kept symmetric in
+///   memory) — and is skipped altogether once the verdict is `false`.
+///
+/// Per event that is `O(|dirty| · (local density + n/64))` instead of
+/// `O(|dirty| · n)`, and every candidate is judged by the historical
+/// comparisons. The constructor seeds the set from the initial positions
+/// (equivalently, the positions at the first event — nothing moves before
+/// it). A non-finite `V/2 + tol` acquires every pair (none, when NaN) and
+/// can never be violated.
+pub struct StrongVisibilityMonitor<P: Point = Vec2> {
     n: usize,
-    v: f64,
-    tol: f64,
-    /// Row-major `n × n` bitset over normalized pairs `(min, max)`.
+    /// Acquisition radius `V/2 + tol`.
+    half: f64,
+    /// Violation threshold `V + tol`.
+    limit: f64,
+    /// Row-major `n × n` bitset, symmetric: an acquired pair `{a, b}` sets
+    /// bits `(a, b)` and `(b, a)`. Checkpoints carry the upper triangle.
     acquired: Vec<u64>,
     ok: bool,
+    /// The current positions, bucketed; `None` when `half` is not finite.
+    grid: Option<DynamicGrid<P>>,
+    /// Pooled grid-query buffer.
+    hits: Vec<usize>,
+    pair_checks: u64,
 }
 
-impl StrongVisibilityMonitor {
+impl<P: Point> StrongVisibilityMonitor<P> {
     /// Builds the monitor and seeds the acquired set from the initial
-    /// positions.
-    pub fn new<P: Point>(v: f64, tol: f64, initial_positions: &[P]) -> Self {
+    /// positions. `V` is positive (as the builder asserts), so no distance
+    /// both acquires a pair and violates it.
+    pub fn new(v: f64, tol: f64, initial_positions: &[P]) -> Self {
         let n = initial_positions.len();
+        let half = v / 2.0 + tol;
         let mut monitor = StrongVisibilityMonitor {
             n,
-            v,
-            tol,
+            half,
+            limit: v + tol,
             acquired: vec![0u64; (n * n).div_ceil(64)],
             ok: true,
+            grid: None,
+            hits: Vec::new(),
+            pair_checks: 0,
         };
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if initial_positions[a].dist(initial_positions[b]) <= v / 2.0 + tol {
-                    monitor.insert(a, b);
+        if half == f64::INFINITY {
+            for a in 0..n {
+                for b in (a + 1)..n {
+                    insert_pair(&mut monitor.acquired, n, a, b);
                 }
             }
         }
+        if !half.is_finite() {
+            return monitor;
+        }
+        monitor.rebuild_grid(initial_positions);
+        let mut hits = std::mem::take(&mut monitor.hits);
+        for (a, &p) in initial_positions.iter().enumerate() {
+            monitor.candidates(p, &mut hits);
+            for &b in &hits {
+                if b > a && p.dist(initial_positions[b]) <= half {
+                    insert_pair(&mut monitor.acquired, n, a, b);
+                }
+            }
+        }
+        monitor.hits = hits;
         monitor
     }
 
@@ -223,13 +264,36 @@ impl StrongVisibilityMonitor {
         self.ok
     }
 
-    /// The acquired-pair bitset words, for checkpointing.
-    pub(crate) fn acquired_bits(&self) -> &[u64] {
-        &self.acquired
+    /// Pair distances judged by [`Monitor::on_event`] so far: grid
+    /// candidates plus acquired partners of the dirty robots, each pair at
+    /// most once per event. A deterministic work count — not checkpointed,
+    /// so a restored monitor counts from zero.
+    pub fn pair_checks(&self) -> u64 {
+        self.pair_checks
     }
 
-    /// Restores the acquired set and verdict from a checkpoint.
-    pub(crate) fn restore(&mut self, acquired: Vec<u64>, ok: bool) -> Result<(), String> {
+    /// The acquired set as checkpointed: `⌈n²/64⌉` words of a row-major
+    /// `n × n` bitset in which pair `{a, b}` (`a < b`) is bit `a · n + b`.
+    pub fn acquired_bits(&self) -> Vec<u64> {
+        let mut upper = vec![0u64; self.acquired.len()];
+        for a in 0..self.n {
+            for b in row_partners(&self.acquired, self.n, a).filter(|&b| b > a) {
+                let bit = a * self.n + b;
+                upper[bit / 64] |= 1 << (bit % 64);
+            }
+        }
+        upper
+    }
+
+    /// Restores the acquired set and verdict from a checkpoint, and
+    /// re-buckets the grid at `positions` — the restored session's current
+    /// positions, which may lie far from the ones the monitor was built at.
+    pub(crate) fn restore(
+        &mut self,
+        acquired: Vec<u64>,
+        ok: bool,
+        positions: &[P],
+    ) -> Result<(), String> {
         if acquired.len() != self.acquired.len() {
             return Err(format!(
                 "checkpoint strong-visibility bitset has {} words, monitor needs {}",
@@ -237,41 +301,115 @@ impl StrongVisibilityMonitor {
                 self.acquired.len()
             ));
         }
-        self.acquired = acquired;
+        self.acquired.fill(0);
+        for a in 0..self.n {
+            for b in row_partners(&acquired, self.n, a).filter(|&b| b > a) {
+                insert_pair(&mut self.acquired, self.n, a, b);
+            }
+        }
         self.ok = ok;
+        if self.grid.is_some() {
+            self.rebuild_grid(positions);
+        }
         Ok(())
     }
 
-    fn bit(&self, a: usize, b: usize) -> usize {
-        a.min(b) * self.n + a.max(b)
+    fn rebuild_grid(&mut self, positions: &[P]) {
+        let cell = if self.half > 0.0 { self.half } else { 1.0 };
+        let mut grid = DynamicGrid::with_extent(self.n, cell, positions);
+        for (i, &p) in positions.iter().enumerate() {
+            grid.insert(i, p);
+        }
+        self.grid = Some(grid);
     }
 
-    fn insert(&mut self, a: usize, b: usize) {
-        let bit = self.bit(a, b);
-        self.acquired[bit / 64] |= 1 << (bit % 64);
-    }
-
-    fn contains(&self, a: usize, b: usize) -> bool {
-        let bit = self.bit(a, b);
-        self.acquired[bit / 64] & (1 << (bit % 64)) != 0
+    /// Fills `hits` with every robot in the grid cells meeting the box
+    /// `p ± pad` (a degenerate segment's padded box). The pad exceeds
+    /// `half` by the worst relative rounding of a computed distance, so
+    /// every robot judged within `half` of `p` lies inside the box; and
+    /// rounding is monotone, so the box corners' cell keys bracket the keys
+    /// of every point inside it, at any coordinate magnitude.
+    fn candidates(&self, p: P, hits: &mut Vec<usize>) {
+        let pad = self.half * (1.0 + 8.0 * f64::EPSILON);
+        hits.clear();
+        if let Some(grid) = &self.grid {
+            grid.query_segment_cells(p, p, pad, hits);
+        }
     }
 }
 
-impl<P: Ambient> Monitor<P> for StrongVisibilityMonitor {
+/// Sets pair `{a, b}` in a symmetric row-major `n × n` bitset.
+fn insert_pair(bits: &mut [u64], n: usize, a: usize, b: usize) {
+    for bit in [a * n + b, b * n + a] {
+        bits[bit / 64] |= 1 << (bit % 64);
+    }
+}
+
+/// The set bits of row `a` of a row-major `n × n` bitset, as ascending
+/// column indices — the partners acquired with robot `a`.
+fn row_partners(bits: &[u64], n: usize, a: usize) -> impl Iterator<Item = usize> + '_ {
+    let (lo, hi) = (a * n, (a + 1) * n);
+    (lo / 64..hi.div_ceil(64)).flat_map(move |w| {
+        let mut word = bits[w];
+        if w == lo / 64 {
+            word &= !0u64 << (lo % 64);
+        }
+        if w == (hi - 1) / 64 && hi % 64 != 0 {
+            word &= (1u64 << (hi % 64)) - 1;
+        }
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                bit - lo
+            })
+        })
+    })
+}
+
+impl<P: Ambient> Monitor<P> for StrongVisibilityMonitor<P> {
     fn on_event(&mut self, ctx: &MonitorContext<'_, P>) {
+        let Some(grid) = self.grid.as_mut() else {
+            return;
+        };
+        let positions = ctx.positions;
         for &a in ctx.dirty {
-            for b in 0..self.n {
-                if b == a || (ctx.dirty_mask[b] && b < a) {
-                    continue;
-                }
-                let d = ctx.positions[a].dist(ctx.positions[b]);
-                if d <= self.v / 2.0 + self.tol {
-                    self.insert(a, b);
-                } else if d > self.v + self.tol && self.contains(a, b) {
-                    self.ok = false;
+            grid.remove(a);
+            grid.insert(a, positions[a]);
+        }
+        // A pair is visited once per event: a pair of two dirty robots from
+        // its smaller endpoint.
+        let skip = |a: usize, b: usize| b == a || (ctx.dirty_mask[b] && b < a);
+        // Violations first, against the acquisitions of earlier events —
+        // those the historical sweep's `contains` saw.
+        if self.ok {
+            'scan: for &a in ctx.dirty {
+                for b in row_partners(&self.acquired, self.n, a) {
+                    if skip(a, b) {
+                        continue;
+                    }
+                    self.pair_checks += 1;
+                    if positions[a].dist(positions[b]) > self.limit {
+                        self.ok = false;
+                        break 'scan;
+                    }
                 }
             }
         }
+        let mut hits = std::mem::take(&mut self.hits);
+        for &a in ctx.dirty {
+            self.candidates(positions[a], &mut hits);
+            for &b in &hits {
+                if skip(a, b) {
+                    continue;
+                }
+                self.pair_checks += 1;
+                if positions[a].dist(positions[b]) <= self.half {
+                    insert_pair(&mut self.acquired, self.n, a, b);
+                }
+            }
+        }
+        self.hits = hits;
     }
 }
 
@@ -342,12 +480,14 @@ impl<P: Ambient> Monitor<P> for HullMonitor {
 }
 
 /// Samples the configuration diameter on a cadence and tests convergence
-/// (`diameter ≤ ε`). Reads positions in place — no `Configuration` clone.
+/// (`diameter ≤ ε`). Reads positions in place — no `Configuration` clone —
+/// through the pruned kernel of [`diameter_of`].
 pub struct DiameterMonitor {
     every: usize,
     epsilon: f64,
     series: Vec<(f64, f64)>,
     converged: bool,
+    pair_checks: u64,
 }
 
 impl DiameterMonitor {
@@ -360,6 +500,7 @@ impl DiameterMonitor {
             epsilon,
             series: vec![initial],
             converged: false,
+            pair_checks: 0,
         }
     }
 
@@ -367,6 +508,14 @@ impl DiameterMonitor {
     /// at the first converged sample, like the historical inline check.
     pub fn converged(&self) -> bool {
         self.converged
+    }
+
+    /// Pair distances the sampled diameters evaluated so far (see
+    /// [`diameter_counted`](cohesion_geometry::diameter::diameter_counted)).
+    /// A deterministic work count — not checkpointed, so a restored monitor
+    /// counts from zero.
+    pub fn pair_checks(&self) -> u64 {
+        self.pair_checks
     }
 
     /// The `(time, diameter)` samples collected so far.
@@ -391,7 +540,8 @@ impl<P: Ambient> Monitor<P> for DiameterMonitor {
         if self.every == 0 || ctx.events % self.every != 0 {
             return;
         }
-        let d = diameter_of(ctx.positions);
+        let (d, pairs) = cohesion_geometry::diameter::diameter_counted(ctx.positions);
+        self.pair_checks += pairs;
         self.series.push((ctx.time, d));
         if d <= self.epsilon {
             self.converged = true;

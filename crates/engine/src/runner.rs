@@ -202,7 +202,9 @@ impl<P: Ambient> SimulationBuilder<P> {
         self
     }
 
-    /// Enables/disables the `O(n²)`-per-event strong-visibility tracking.
+    /// Enables/disables the strong-visibility tracking (the acquired-pair
+    /// clause of Theorems 3–4; see [`StrongVisibilityMonitor`] for its
+    /// per-event cost).
     pub fn track_strong_visibility(mut self, enabled: bool) -> Self {
         self.track_strong_visibility = enabled;
         self

@@ -159,7 +159,7 @@ impl<P: Ambient> Observer<P> for CohesionMonitor {
     }
 }
 
-impl<P: Ambient> Observer<P> for StrongVisibilityMonitor {
+impl<P: Ambient> Observer<P> for StrongVisibilityMonitor<P> {
     fn on_event(&mut self, view: &EventView<'_, P>) {
         Monitor::on_event(self, &view.monitors);
     }
@@ -322,7 +322,7 @@ pub struct Simulation<P: Ambient = Vec2> {
     pub(crate) dirty: Vec<usize>,
     pub(crate) dirty_mask: Vec<bool>,
     pub(crate) cohesion: CohesionMonitor,
-    pub(crate) strong: Option<StrongVisibilityMonitor>,
+    pub(crate) strong: Option<StrongVisibilityMonitor<P>>,
     pub(crate) hull: Option<HullMonitor>,
     pub(crate) diameter: DiameterMonitor,
     pub(crate) round_diameters: Vec<(usize, f64)>,
@@ -343,9 +343,9 @@ pub struct Simulation<P: Ambient = Vec2> {
 
 /// The four standard monitors a session is built around, bundled for
 /// construction (the builder materializes them, the session owns them).
-pub(crate) struct MonitorPipeline {
+pub(crate) struct MonitorPipeline<P: Ambient> {
     pub(crate) cohesion: CohesionMonitor,
-    pub(crate) strong: Option<StrongVisibilityMonitor>,
+    pub(crate) strong: Option<StrongVisibilityMonitor<P>>,
     pub(crate) hull: Option<HullMonitor>,
     pub(crate) diameter: DiameterMonitor,
 }
@@ -357,7 +357,7 @@ impl<P: Ambient> Simulation<P> {
         budget: Budget,
         initial_diameter: f64,
         positions: Vec<P>,
-        monitors: MonitorPipeline,
+        monitors: MonitorPipeline<P>,
     ) -> Self {
         let MonitorPipeline {
             cohesion,
@@ -430,10 +430,25 @@ impl<P: Ambient> Simulation<P> {
         &self.engine
     }
 
+    /// The strong-visibility monitor (read-only), when tracked: its
+    /// acquired set, verdict and work counter as of the last event.
+    #[must_use]
+    pub fn strong_visibility(&self) -> Option<&StrongVisibilityMonitor<P>> {
+        self.strong.as_ref()
+    }
+
+    /// The diameter monitor (read-only): the samples so far and its work
+    /// counter.
+    #[must_use]
+    pub fn diameter_monitor(&self) -> &DiameterMonitor {
+        &self.diameter
+    }
+
     /// A point-in-time progress view: events, rounds, simulated time, the
     /// current configuration diameter, and cohesion-so-far. Costs one
-    /// `O(n²)` diameter computation — cheap next to an event slice, but
-    /// meant for heartbeats and stop predicates, not per-event polling.
+    /// diameter computation — linear on typical swarms (see
+    /// [`monitors::diameter_of`]), all-pairs only in the worst case — so it
+    /// is meant for heartbeats and stop predicates, not per-event polling.
     #[must_use]
     pub fn progress(&self) -> Progress {
         Progress {
@@ -505,7 +520,7 @@ impl<P: Ambient> Simulation<P> {
                 .collect(),
             strong: self.strong.as_ref().map(|m| StrongState {
                 ok: m.ok(),
-                acquired: m.acquired_bits().to_vec(),
+                acquired: m.acquired_bits(),
             }),
             hull: self.hull.as_ref().map(|m| HullState {
                 nested: m.nested(),
@@ -600,7 +615,7 @@ impl<P: Ambient> Simulation<P> {
         self.status = status;
         self.cohesion.restore(violations);
         if let (Some(m), Some(s)) = (self.strong.as_mut(), state.strong.as_ref()) {
-            m.restore(s.acquired.clone(), s.ok)?;
+            m.restore(s.acquired.clone(), s.ok, &self.positions)?;
         }
         if let (Some(m), Some(s)) = (self.hull.as_mut(), state.hull.as_ref()) {
             m.restore(hull_prev, s.nested);

@@ -51,6 +51,7 @@ pub mod ball;
 pub mod bbox;
 pub mod circle;
 pub mod cone;
+pub mod diameter;
 pub mod dynamic_grid;
 pub mod grid;
 pub mod hull;

@@ -85,18 +85,14 @@ impl<P: Point> Configuration<P> {
     }
 
     /// The configuration diameter: maximum pairwise distance (`0` for fewer
-    /// than two robots). `O(n²)` — configurations are small.
+    /// than two robots), via the exact pruned kernel
+    /// [`cohesion_geometry::diameter::diameter`] — linear on swarms with a
+    /// few extreme points, all-pairs only when every point is extreme.
     ///
     /// The Point Convergence predicate is exactly
     /// “∀ε ∃t ∀t′≥t: diameter ≤ ε”.
     pub fn diameter(&self) -> f64 {
-        let mut best = 0.0_f64;
-        for i in 0..self.positions.len() {
-            for j in (i + 1)..self.positions.len() {
-                best = best.max(self.positions[i].dist(self.positions[j]));
-            }
-        }
-        best
+        cohesion_geometry::diameter::diameter(&self.positions)
     }
 
     /// The centre of gravity (arithmetic mean) of the configuration — the
