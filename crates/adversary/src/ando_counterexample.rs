@@ -2,7 +2,7 @@
 //! under 1-Async scheduling (a) and under 2-NestA scheduling (b).
 //!
 //! The paper gives the construction as a drawing; this module pins concrete
-//! coordinates realizing it (DESIGN.md records the reconstruction):
+//! coordinates realizing it:
 //!
 //! * five robots — `X` and `Y` are scheduled, `A`, `B`, `C` stay inactive;
 //! * `X` at the origin, `Y` at `(0.5, 0)`, visibility `V = 1`;

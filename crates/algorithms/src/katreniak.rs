@@ -15,7 +15,7 @@
 //! neighbour's safe region. Since the paper reviews Katreniak's destination
 //! choice only as “moves as far as possible while remaining inside a
 //! composite safe region”, we pin the goal direction to the SEC centre (the
-//! same goal Ando uses); DESIGN.md records this reconstruction.
+//! same goal Ando uses); this goal direction is our reconstruction.
 
 use cohesion_geometry::ball::smallest_enclosing_ball;
 use cohesion_geometry::{Circle, Vec2};

@@ -125,11 +125,7 @@ impl Experiment for ChainInvariant {
             .collect()
     }
 
-    fn engine_driven(&self) -> bool {
-        false // bespoke analytic driver below; no resumable session to cut
-    }
-
-    fn run(&self, spec: &ScenarioSpec, _progress: &CellProgress<'_>) -> Outcome {
+    fn run(&self, spec: &ScenarioSpec, _progress: &CellProgress<'_>) -> Option<Outcome> {
         let k = cell_k(spec);
         let mut worst: f64 = 0.0;
         let mut min_cos: f64 = 1.0;
@@ -142,7 +138,7 @@ impl Experiment for ChainInvariant {
                 violations += 1;
             }
         }
-        Outcome::Stats(vec![worst, min_cos, violations as f64])
+        Some(Outcome::Stats(vec![worst, min_cos, violations as f64]))
     }
 
     fn reduce(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Vec<JsonRow> {

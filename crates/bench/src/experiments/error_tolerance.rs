@@ -189,11 +189,7 @@ impl Experiment for ErrorTolerance {
         cells
     }
 
-    fn engine_driven(&self) -> bool {
-        false // bespoke multi-trial driver below; no resumable session to cut
-    }
-
-    fn run(&self, spec: &ScenarioSpec, _progress: &CellProgress<'_>) -> Outcome {
+    fn run(&self, spec: &ScenarioSpec, _progress: &CellProgress<'_>) -> Option<Outcome> {
         let mut ok = 0usize;
         let mut broken = 0usize;
         for s in 0..spec.trials as u64 {
@@ -205,7 +201,7 @@ impl Experiment for ErrorTolerance {
                 broken += 1;
             }
         }
-        Outcome::Stats(vec![ok as f64, broken as f64])
+        Some(Outcome::Stats(vec![ok as f64, broken as f64]))
     }
 
     fn reduce(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Vec<JsonRow> {

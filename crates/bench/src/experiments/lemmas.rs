@@ -202,12 +202,8 @@ impl Experiment for Lemmas {
         .collect()
     }
 
-    fn engine_driven(&self) -> bool {
-        false // bespoke violation-count driver; no resumable session to cut
-    }
-
-    fn run(&self, spec: &ScenarioSpec, _progress: &CellProgress<'_>) -> Outcome {
-        Outcome::Stats(vec![violations(spec) as f64])
+    fn run(&self, spec: &ScenarioSpec, _progress: &CellProgress<'_>) -> Option<Outcome> {
+        Some(Outcome::Stats(vec![violations(spec) as f64]))
     }
 
     fn reduce(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Vec<JsonRow> {

@@ -137,12 +137,8 @@ impl Experiment for SafeRegions {
         cells
     }
 
-    fn engine_driven(&self) -> bool {
-        false // bespoke geometric driver below; no resumable session to cut
-    }
-
-    fn run(&self, spec: &ScenarioSpec, _progress: &CellProgress<'_>) -> Outcome {
-        match spec.tag {
+    fn run(&self, spec: &ScenarioSpec, _progress: &CellProgress<'_>) -> Option<Outcome> {
+        Some(match spec.tag {
             "region" => {
                 let WorkloadSpec::Line { spacing: d, .. } = spec.workload else {
                     unreachable!("region cells are two-robot lines")
@@ -158,7 +154,7 @@ impl Experiment for SafeRegions {
                 ])
             }
             _ => Outcome::Stats(vec![target_step(spec)]),
-        }
+        })
     }
 
     fn reduce(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Vec<JsonRow> {

@@ -138,13 +138,9 @@ impl Experiment for Timelines {
         .collect()
     }
 
-    fn engine_driven(&self) -> bool {
-        false // the cell is analytic (trace collected in reduce); nothing to cut
-    }
-
-    fn run(&self, _spec: &ScenarioSpec, _progress: &CellProgress<'_>) -> Outcome {
+    fn run(&self, _spec: &ScenarioSpec, _progress: &CellProgress<'_>) -> Option<Outcome> {
         // The trace is collected in reduce; the cell itself is analytic.
-        Outcome::Analytic
+        Some(Outcome::Analytic)
     }
 
     fn reduce(&self, spec: &ScenarioSpec, _outcome: &Outcome) -> Vec<JsonRow> {

@@ -8,29 +8,30 @@
 //! * CLI parsing (`--quick`, `--threads`, `--out`, `--shard I/M`) behind the
 //!   single `lab` binary (`lab list`, `lab run <name>`, `lab all`,
 //!   `lab merge <name>`);
-//! * the [`Profile`] (quick CI smoke vs full reproduction), replacing the
-//!   old per-binary `--quick` sniffing — the `COHESION_SWEEP_QUICK` env var
-//!   survives only as a deprecated fallback that warns on stderr;
+//! * the [`Profile`] (quick CI smoke vs full reproduction);
+//! * the one cell driver, `run_cell`: start → dispatch (bespoke driver,
+//!   §7 adversary, 3D or 2D session) → reduce → done, shared by the local
+//!   parallel fan-out ([`run_shard_cells`]) and the resumable worker loop
+//!   ([`crate::resume::run_shard_resumable`]);
 //! * deterministic **process-level sharding**: `--shard I/M` slices the spec
 //!   grid into `M` contiguous chunks, so concatenating the shard files in
 //!   index order (`lab merge`) is *byte-identical* to an unsharded run —
 //!   rows are a pure per-spec function, merged in spec order, exactly the
 //!   [`SweepRunner`] contract lifted across processes;
 //! * JSONL sinks under `target/experiments/`.
-//!
-//! The old `exp_*` binaries survive as deprecated shims that delegate here.
 
+use crate::resume::CheckpointControl;
 use crate::sweep::{ScenarioSpec, SchedulerSpec, SweepRunner, WorkloadSpec};
 use cohesion_adversary::{run_impossibility, ImpossibilityOutcome};
-use cohesion_engine::SimulationReport;
+use cohesion_engine::{Checkpoint, Simulation, SimulationReport};
 use cohesion_geometry::{Vec2, Vec3};
-use cohesion_model::Progress;
+use cohesion_model::frame::Ambient;
+use cohesion_model::{Budget, Progress};
 use cohesion_telemetry::sync::Guarded;
 use cohesion_telemetry::{keys, StateStore};
 use serde::Serialize;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Profile
@@ -64,38 +65,22 @@ impl Profile {
     }
 }
 
-/// The deprecated environment fallback for [`Profile::Quick`]: honoured so
-/// existing `COHESION_SWEEP_QUICK=1` invocations keep working, but warns on
-/// stderr — pass `--quick` to the `lab` CLI instead.
-#[must_use]
-pub fn profile_env_fallback() -> Option<Profile> {
-    match std::env::var("COHESION_SWEEP_QUICK") {
-        Ok(v) if !v.is_empty() && v != "0" => {
-            eprintln!(
-                "warning: COHESION_SWEEP_QUICK is deprecated; pass --quick to the lab CLI instead"
-            );
-            Some(Profile::Quick)
-        }
-        _ => None,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Progress sidecar
 // ---------------------------------------------------------------------------
 
-/// Heartbeat cadence for engine-driven cells, in events: each cell's
-/// session is driven in slices of this size and a heartbeat record lands in
-/// the sidecar between slices. Deterministic per cell (event counts are),
-/// though sidecar *line interleaving* across worker threads is not — the
-/// sidecar is telemetry, not part of the byte-identity contract.
+/// Heartbeat cadence for session cells, in events: a heartbeat record lands
+/// in the sidecar at every multiple of this many events, whether the cell
+/// runs locally or on a checkpointing worker. Deterministic per cell (event
+/// counts are), though sidecar *line interleaving* across worker threads is
+/// not — the sidecar is telemetry, not part of the byte-identity contract.
 pub const PROGRESS_HEARTBEAT_EVENTS: usize = 100_000;
 
 /// One line of the progress sidecar (`<stem>.progress.jsonl`, or
 /// `<stem>.shardIofM.progress.jsonl` under `--shard`).
 ///
 /// Every cell contributes a `start` record, zero or more `heartbeat`
-/// records (engine-driven cells only, every
+/// records (session cells only, every
 /// [`PROGRESS_HEARTBEAT_EVENTS`] events), and a `done` record carrying the
 /// cell's final accounting and the number of JSONL rows it reduced to.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -154,45 +139,6 @@ impl ProgressOutput for JsonlProgressOutput {
         self.out
             .with(|out| writeln!(out, "{line}"))
             .expect("write progress record");
-    }
-}
-
-/// Store-backed [`ProgressOutput`]: publishes each record's fields into a
-/// [`StateStore`] under a per-cell scope, optionally forwarding the record
-/// to another output (tee). This is how a locally-run experiment — and the
-/// coordinator's Heartbeat path — feed the live `lab watch` plane without
-/// touching the row pipeline.
-pub struct StoreProgressOutput {
-    store: Arc<StateStore>,
-    forward: Option<Box<dyn ProgressOutput>>,
-}
-
-impl StoreProgressOutput {
-    /// An output that only publishes into `store`.
-    #[must_use]
-    pub fn new(store: Arc<StateStore>) -> StoreProgressOutput {
-        StoreProgressOutput {
-            store,
-            forward: None,
-        }
-    }
-
-    /// Tees: publish into `store`, then forward to `out`.
-    #[must_use]
-    pub fn tee(store: Arc<StateStore>, out: Box<dyn ProgressOutput>) -> StoreProgressOutput {
-        StoreProgressOutput {
-            store,
-            forward: Some(out),
-        }
-    }
-}
-
-impl ProgressOutput for StoreProgressOutput {
-    fn record(&self, record: &ProgressRecord) {
-        publish_progress(&self.store, record);
-        if let Some(forward) = &self.forward {
-            forward.record(record);
-        }
     }
 }
 
@@ -310,9 +256,8 @@ fn idle_progress() -> Progress {
 /// Disabled (the default, when `--progress` was not given) it is a no-op;
 /// enabled, [`CellProgress::heartbeat`] appends a heartbeat record for this
 /// cell to the experiment's sidecar. Bespoke cell drivers may call
-/// `heartbeat` at their own cadence; the default engine dispatch
-/// ([`Outcome::compute_with`]) beats every [`PROGRESS_HEARTBEAT_EVENTS`]
-/// events.
+/// `heartbeat` at their own cadence; session cells beat every
+/// [`PROGRESS_HEARTBEAT_EVENTS`] events.
 #[derive(Debug, Clone, Copy)]
 pub struct CellProgress<'a> {
     sink: Option<&'a ProgressSink>,
@@ -320,19 +265,11 @@ pub struct CellProgress<'a> {
     tag: &'a str,
 }
 
-/// The inert handle, for driving an experiment cell outside the lab
-/// runtime (tests, shims, ad-hoc harnesses).
-pub const NO_PROGRESS: CellProgress<'static> = CellProgress {
-    sink: None,
-    cell: 0,
-    tag: "",
-};
-
 impl<'a> CellProgress<'a> {
-    /// A live handle appending to `sink` for grid cell `cell` — for ad-hoc
-    /// harnesses that drive cells outside `run_experiment`.
+    /// A handle appending to `sink` (inert when `None`) for grid cell
+    /// `cell`.
     #[must_use]
-    pub fn new(sink: Option<&'a ProgressSink>, cell: usize, tag: &'a str) -> Self {
+    pub(crate) fn new(sink: Option<&'a ProgressSink>, cell: usize, tag: &'a str) -> Self {
         CellProgress { sink, cell, tag }
     }
 
@@ -423,50 +360,6 @@ pub enum Outcome {
 }
 
 impl Outcome {
-    /// The default cell driver: dispatches a spec to the engine (2D or 3D)
-    /// or to the §7 impossibility adversary. Experiments with bespoke
-    /// drivers override [`Experiment::run`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a [`SchedulerSpec::AdversaryNested`] scheduler without a
-    /// [`WorkloadSpec::SpiralTail`] workload.
-    #[must_use]
-    pub fn compute(spec: &ScenarioSpec) -> Outcome {
-        Outcome::compute_with(spec, &NO_PROGRESS)
-    }
-
-    /// [`Outcome::compute`] with live telemetry: engine-driven cells run as
-    /// sessions in [`PROGRESS_HEARTBEAT_EVENTS`]-event slices, emitting a
-    /// heartbeat between slices. With a disabled handle the session is
-    /// driven uninterrupted — either way the report is byte-identical (the
-    /// session equivalence suite pins sliced ≡ one-shot).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a [`SchedulerSpec::AdversaryNested`] scheduler without a
-    /// [`WorkloadSpec::SpiralTail`] workload.
-    #[must_use]
-    pub fn compute_with(spec: &ScenarioSpec, progress: &CellProgress<'_>) -> Outcome {
-        match (spec.workload, spec.scheduler) {
-            (WorkloadSpec::SpiralTail { psi }, SchedulerSpec::AdversaryNested { max_sweeps }) => {
-                let victim = spec.algorithm.build();
-                Outcome::Adversary(Box::new(run_impossibility(&*victim, psi, max_sweeps)))
-            }
-            (_, SchedulerSpec::AdversaryNested { .. }) => {
-                panic!("AdversaryNested schedules require a SpiralTail workload")
-            }
-            (WorkloadSpec::Ball3 { .. }, _) if progress.enabled() => Outcome::Report3(Box::new(
-                spec.run3_with_heartbeat(PROGRESS_HEARTBEAT_EVENTS, |p| progress.heartbeat(p)),
-            )),
-            (WorkloadSpec::Ball3 { .. }, _) => Outcome::Report3(Box::new(spec.run3())),
-            _ if progress.enabled() => Outcome::Report(Box::new(
-                spec.run_with_heartbeat(PROGRESS_HEARTBEAT_EVENTS, |p| progress.heartbeat(p)),
-            )),
-            _ => Outcome::Report(Box::new(spec.run())),
-        }
-    }
-
     /// The 2D report, when this outcome is one.
     ///
     /// # Panics
@@ -551,23 +444,15 @@ pub trait Experiment: Sync {
     /// The parameter grid for a profile. Order is the output order.
     fn grid(&self, profile: Profile) -> Vec<ScenarioSpec>;
 
-    /// Runs one cell. The default dispatches to the engine or the §7
-    /// adversary, streaming heartbeats through `progress` when the run has
-    /// a sidecar; experiments with bespoke drivers (Monte-Carlo searches,
-    /// pure geometry) override this — they may ignore `progress` or beat at
-    /// their own cadence.
-    fn run(&self, spec: &ScenarioSpec, progress: &CellProgress<'_>) -> Outcome {
-        Outcome::compute_with(spec, progress)
-    }
-
-    /// `true` when cells run through the default engine dispatch above —
-    /// the distributed worker then drives them as resumable sessions and
-    /// checkpoints *mid-cell* (`crate::resume`). Experiments that override
-    /// [`Experiment::run`] with a bespoke driver (Monte-Carlo trials,
-    /// schedule searches, pure geometry) must also override this to
-    /// `false`; their shards checkpoint at cell boundaries instead.
-    fn engine_driven(&self) -> bool {
-        true
+    /// A bespoke cell driver (Monte-Carlo searches, pure geometry), or
+    /// `None` — the default — to let the lab's cell driver dispatch the
+    /// spec to the §7 adversary or an engine session. Session cells stream
+    /// heartbeats and, on a worker, checkpoint mid-cell; a bespoke driver
+    /// may ignore `progress` or beat at its own cadence, and its cells
+    /// checkpoint at cell boundaries only.
+    fn run(&self, spec: &ScenarioSpec, progress: &CellProgress<'_>) -> Option<Outcome> {
+        let _ = (spec, progress);
+        None
     }
 
     /// Reduces one cell's outcome to its JSONL rows (possibly none).
@@ -702,12 +587,144 @@ pub fn progress_file_name(stem: &str, shard: Option<Shard>) -> String {
     }
 }
 
-/// The shared cell-execution core: materialize the grid for `profile`,
-/// slice out `shard` (the whole grid when `None`), run the cells in
-/// parallel, reduce each to its rows. Per-cell progress streams through
-/// `sink` when one is given. Both the local CLI ([`run_experiment`]) and
-/// the distributed worker (`crate::net::worker`) are thin wrappers over
-/// this — the byte-identity contract lives here.
+/// Mid-cell checkpointing for one session cell, as the resumable worker
+/// drives it.
+pub(crate) struct CellCuts<'a> {
+    /// Cut a checkpoint at every multiple of this many engine events.
+    pub(crate) every: usize,
+    /// A sealed engine checkpoint (`cohesion_engine::Checkpoint` JSON) to
+    /// restore the session from before driving it.
+    pub(crate) resume: Option<String>,
+    /// Receives `(events, sealed engine checkpoint)` at each cut;
+    /// [`CheckpointControl::Stop`] abandons the cell.
+    pub(crate) on_cut: &'a mut dyn FnMut(usize, String) -> CheckpointControl,
+}
+
+/// The one cell driver: start → dispatch → reduce → done. Dispatch is, in
+/// order, the experiment's bespoke driver ([`Experiment::run`]), the §7
+/// adversary for [`SchedulerSpec::AdversaryNested`], a 3D session for
+/// [`WorkloadSpec::Ball3`], or a 2D session. Sessions run through one slice
+/// loop that beats every [`PROGRESS_HEARTBEAT_EVENTS`] events and, given
+/// `cuts`, restores from and checkpoints to them; slicing is invisible in
+/// the report (the session equivalence suite pins sliced ≡ one-shot).
+///
+/// Returns `Ok(None)` when `on_cut` stopped the run. Errors come only from
+/// `cuts.resume`: malformed or mismatched engine state, or engine state for
+/// a cell that has no session to restore it into.
+///
+/// # Panics
+///
+/// Panics on a [`SchedulerSpec::AdversaryNested`] scheduler without a
+/// [`WorkloadSpec::SpiralTail`] workload.
+pub(crate) fn run_cell(
+    exp: &dyn Experiment,
+    spec: &ScenarioSpec,
+    progress: &CellProgress<'_>,
+    cuts: Option<CellCuts<'_>>,
+) -> Result<Option<LabCell>, String> {
+    progress.start();
+    let restoring = cuts.as_ref().is_some_and(|c| c.resume.is_some());
+    let sessionless = || {
+        if restoring {
+            return Err(format!(
+                "checkpoint holds mid-cell engine state for cell {}, which has no \
+                 resumable engine driver",
+                progress.cell
+            ));
+        }
+        Ok(())
+    };
+    let outcome = if let Some(outcome) = exp.run(spec, progress) {
+        sessionless()?;
+        Some(outcome)
+    } else if let SchedulerSpec::AdversaryNested { max_sweeps } = spec.scheduler {
+        let WorkloadSpec::SpiralTail { psi } = spec.workload else {
+            panic!("AdversaryNested schedules require a SpiralTail workload")
+        };
+        sessionless()?;
+        let victim = spec.algorithm.build();
+        Some(Outcome::Adversary(Box::new(run_impossibility(
+            &*victim, psi, max_sweeps,
+        ))))
+    } else if let WorkloadSpec::Ball3 { .. } = spec.workload {
+        drive_session(spec.session3(), progress, cuts)?.map(|r| Outcome::Report3(Box::new(r)))
+    } else {
+        drive_session(spec.session(), progress, cuts)?.map(|r| Outcome::Report(Box::new(r)))
+    };
+    let Some(outcome) = outcome else {
+        return Ok(None);
+    };
+    let rows = exp.reduce(spec, &outcome);
+    progress.done(&outcome, rows.len());
+    Ok(Some(LabCell {
+        spec: spec.clone(),
+        outcome,
+        rows,
+    }))
+}
+
+/// Drives a session to termination in slices that end at whichever comes
+/// first: the next multiple of [`PROGRESS_HEARTBEAT_EVENTS`] (when
+/// `progress` is live) or the next multiple of `cuts.every`. Both grids are
+/// absolute event counts, so a worker beats exactly where a local run does,
+/// and a resumed cell keeps the grids of the run it continues.
+fn drive_session<P: Ambient>(
+    mut session: Simulation<P>,
+    progress: &CellProgress<'_>,
+    cuts: Option<CellCuts<'_>>,
+) -> Result<Option<SimulationReport<P>>, String> {
+    let beat_every = if progress.enabled() {
+        PROGRESS_HEARTBEAT_EVENTS
+    } else {
+        usize::MAX
+    };
+    let mut uncut = |_: usize, _: String| CheckpointControl::Continue;
+    let (mut cut_every, on_cut): (usize, &mut dyn FnMut(usize, String) -> CheckpointControl) =
+        match cuts {
+            Some(cuts) => {
+                assert!(cuts.every > 0, "checkpoint cadence must be positive");
+                if let Some(engine) = cuts.resume {
+                    session.restore(&Checkpoint::from_json(&engine)?)?;
+                }
+                (cuts.every, cuts.on_cut)
+            }
+            None => (usize::MAX, &mut uncut),
+        };
+    let next = |events: usize, every: usize| (events / every + 1).saturating_mul(every);
+    loop {
+        let events = session.events();
+        let until = next(events, beat_every).min(next(events, cut_every));
+        if session
+            .run_for(Budget::events(until - events))
+            .is_terminal()
+        {
+            break;
+        }
+        if until % beat_every == 0 {
+            progress.heartbeat(&session.progress());
+        }
+        if until % cut_every == 0 {
+            // A scheduler without checkpoint support degrades this one cell
+            // to cell-boundary granularity instead of failing the shard.
+            match session.save() {
+                Ok(ckpt) => {
+                    if on_cut(until, ckpt.to_json()) == CheckpointControl::Stop {
+                        return Ok(None);
+                    }
+                }
+                Err(_) => cut_every = usize::MAX,
+            }
+        }
+    }
+    Ok(Some(session.into_report()))
+}
+
+/// The local cell fan-out: materialize the grid for `profile`, slice out
+/// `shard` (the whole grid when `None`), and run the cells through
+/// `run_cell` in parallel. Per-cell progress streams through `sink` when
+/// one is given. The local CLI ([`run_experiment`]) is a thin wrapper over
+/// this; the distributed worker's sequential, checkpointing counterpart is
+/// [`crate::resume::run_shard_resumable`].
 pub fn run_shard_cells(
     exp: &dyn Experiment,
     profile: Profile,
@@ -724,24 +741,13 @@ pub fn run_shard_cells(
         Some(t) => SweepRunner::with_threads(t),
         None => SweepRunner::new(),
     };
-    let results = runner.run(specs, |i, spec| {
+    runner.run(specs, |i, spec| {
         let progress = CellProgress::new(sink, cell_base + i, spec.tag);
-        progress.start();
-        let outcome = exp.run(spec, &progress);
-        let rows = exp.reduce(spec, &outcome);
-        progress.done(&outcome, rows.len());
-        (outcome, rows)
-    });
-    specs
-        .iter()
-        .cloned()
-        .zip(results)
-        .map(|(spec, (outcome, rows))| LabCell {
-            spec,
-            outcome,
-            rows,
-        })
-        .collect()
+        match run_cell(exp, spec, &progress, None) {
+            Ok(Some(cell)) => cell,
+            _ => unreachable!("a cell without cuts neither restores nor stops"),
+        }
+    })
 }
 
 /// Executes one experiment: materialize the grid, slice the shard, run the
@@ -905,7 +911,8 @@ usage:
 
 options:
   --quick          shrunken CI smoke grids (default: full reproduction)
-  --threads N      worker threads (default: COHESION_SWEEP_THREADS or all cores)
+  --threads N      sweep threads of run/all (default: COHESION_SWEEP_THREADS or
+                   all cores); lab worker takes none — size fleets with --shards
   --out DIR        output directory (default: target/experiments)
   --shard I/M      run only the I-th of M contiguous grid chunks; outputs to
                    <stem>.shardIofM.jsonl — concatenating shards 0..M in order
@@ -936,14 +943,12 @@ watch options:
                            plus a {\"dropped\":N} line per lossy batch,
                            instead of the terminal summary table";
 
-/// Resolves a registry experiment by name (the `exp_` prefix of the old
-/// shim binaries is accepted and stripped).
+/// Resolves a registry experiment by name.
 pub fn find_experiment(name: &str) -> Result<&'static dyn Experiment, String> {
-    let canonical = name.strip_prefix("exp_").unwrap_or(name);
     crate::experiments::REGISTRY
         .iter()
         .copied()
-        .find(|e| e.name() == canonical)
+        .find(|e| e.name() == name)
         .ok_or_else(|| {
             let names: Vec<&str> = crate::experiments::REGISTRY
                 .iter()
@@ -957,7 +962,6 @@ struct Parsed {
     opts: LabOptions,
     names: Vec<String>,
     all: bool,
-    quick_given: bool,
     addr: Option<String>,
     connect: Option<String>,
     workers: Option<usize>,
@@ -972,7 +976,6 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
         opts: LabOptions::default(),
         names: Vec::new(),
         all: false,
-        quick_given: false,
         addr: None,
         connect: None,
         workers: None,
@@ -984,14 +987,8 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--quick" => {
-                parsed.opts.profile = Profile::Quick;
-                parsed.quick_given = true;
-            }
-            "--full" => {
-                parsed.opts.profile = Profile::Full;
-                parsed.quick_given = true;
-            }
+            "--quick" => parsed.opts.profile = Profile::Quick,
+            "--full" => parsed.opts.profile = Profile::Full,
             "--threads" => {
                 let v = it.next().ok_or("--threads needs a value")?;
                 let t: usize = v
@@ -1065,11 +1062,6 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
                 return Err(format!("unknown flag '{flag}'\n\n{USAGE}"));
             }
             name => parsed.names.push(name.to_string()),
-        }
-    }
-    if !parsed.quick_given {
-        if let Some(p) = profile_env_fallback() {
-            parsed.opts.profile = p;
         }
     }
     Ok(parsed)
@@ -1198,8 +1190,14 @@ pub fn lab_main(args: &[String]) -> Result<(), String> {
             let Some(addr) = parsed.connect else {
                 return Err(format!("`lab worker` needs --connect HOST:PORT\n\n{USAGE}"));
             };
+            if parsed.opts.threads.is_some() {
+                return Err(
+                    "`lab worker` runs its shard's cells sequentially and takes no \
+                     --threads; size the fleet with `lab serve --shards M` instead"
+                        .into(),
+                );
+            }
             let mut opts = crate::net::WorkerOptions::new(addr);
-            opts.threads = parsed.opts.threads;
             if let Some(n) = parsed.checkpoint_events {
                 opts.checkpoint_events = n;
             }
@@ -1251,21 +1249,6 @@ pub fn lab_main(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         other => Err(format!("unknown command '{other}'\n\n{USAGE}")),
-    }
-}
-
-/// Entry point for the deprecated per-experiment shim binaries: forwards the
-/// binary's arguments to `lab run <name>` with a stderr deprecation note.
-pub fn shim_main(name: &str) {
-    eprintln!(
-        "note: the exp_{name} binary is a deprecated shim; use `cargo run --release -p \
-         cohesion-bench --bin lab -- run {name}` (or `lab list` for the index)."
-    );
-    let mut args: Vec<String> = vec!["run".into(), name.into()];
-    args.extend(std::env::args().skip(1));
-    if let Err(e) = lab_main(&args) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
     }
 }
 

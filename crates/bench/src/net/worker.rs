@@ -3,13 +3,13 @@
 //! A worker connects (with jittered exponential backoff, so a fleet
 //! launched together does not hammer a still-binding coordinator in
 //! lockstep), version-handshakes, then loops assign → run → stream → done.
-//! Shards run through the *resumable* sequential cell driver
-//! (`crate::resume::run_shard_resumable`): cells are driven as resumable
-//! `Simulation` sessions in spec order, a sealed [`ShardCheckpoint`] goes
-//! to the coordinator every [`WorkerOptions::checkpoint_events`] engine
-//! events (and at every cell boundary), and an `Assign { resume: true }`
-//! continues a dead predecessor's shard from its last checkpoint instead of
-//! recomputing. Per-cell progress records become `Heartbeat` frames (the
+//! Shards run through the *resumable* sequential shard loop
+//! (`crate::resume::run_shard_resumable`) over the lab's one cell driver:
+//! cells run in spec order, session cells as resumable `Simulation`s, a
+//! sealed [`ShardCheckpoint`] goes to the coordinator every
+//! [`WorkerOptions::checkpoint_events`] engine events (and at every cell
+//! boundary), and an `Assign { resume: true }` continues a dead
+//! predecessor's shard from its last checkpoint instead of recomputing. Per-cell progress records become `Heartbeat` frames (the
 //! [`ProgressOutput`] impl here), and a keep-alive ticker thread covers
 //! stretches where no cell emits. Rows are streamed back in bounded chunks,
 //! so coordinator memory stays flat no matter the shard size.
@@ -49,10 +49,6 @@ const BACKOFF_CAP_MS: u64 = 2_000;
 pub struct WorkerOptions {
     /// Coordinator address (`host:port`).
     pub addr: String,
-    /// Thread override, kept for CLI compatibility. The resumable shard
-    /// driver is sequential (see the module docs), so this no longer sizes
-    /// a per-shard pool — shards are the fleet's unit of parallelism.
-    pub threads: Option<usize>,
     /// Total budget for connect retries — covers the race where workers
     /// launch before the coordinator binds.
     pub connect_retry: Duration,
@@ -68,7 +64,6 @@ impl WorkerOptions {
     pub fn new(addr: impl Into<String>) -> WorkerOptions {
         WorkerOptions {
             addr: addr.into(),
-            threads: None,
             connect_retry: Duration::from_secs(10),
             checkpoint_events: DEFAULT_CHECKPOINT_EVENTS,
         }

@@ -13,23 +13,21 @@
 //! flipped byte, or format-revision mismatch is detected before any state is
 //! interpreted, and callers fall back to a clean rerun.
 //!
-//! [`run_shard_resumable`] is the sequential cell driver behind
+//! [`run_shard_resumable`] is the sequential shard loop behind
 //! `lab worker`: cells run in spec order (the shard, not the cell, is the
-//! fleet's unit of parallelism), engine-driven cells — 2D and 3D — are
-//! checkpointed mid-run every `checkpoint_events` events, and every cell
-//! boundary is a checkpoint for free. Experiments with bespoke drivers
-//! ([`Experiment::engine_driven`] is `false`) and §7 adversary cells
-//! checkpoint at cell boundaries only. Checkpoint cadence is invisible in
-//! the output: rows are a pure per-spec function, and the engine's
-//! checkpoint suite pins save/restore ≡ uninterrupted byte-for-byte.
+//! fleet's unit of parallelism) through the lab's one cell driver,
+//! `crate::lab::run_cell`. Session cells — 2D and 3D — are checkpointed
+//! mid-run every `checkpoint_events` events, and every cell boundary is a
+//! checkpoint for free. Cells with a bespoke driver ([`Experiment::run`] returns `Some`)
+//! and §7 adversary cells checkpoint at cell boundaries only. Checkpoint
+//! cadence is invisible in the output: rows are a pure per-spec function,
+//! and the engine's checkpoint suite pins save/restore ≡ uninterrupted
+//! byte-for-byte.
 
 use crate::lab::{
-    CellProgress, Experiment, LabCell, Outcome, Profile, ProgressSink, Shard,
-    PROGRESS_HEARTBEAT_EVENTS,
+    run_cell, CellCuts, CellProgress, Experiment, LabCell, Profile, ProgressSink, Shard,
 };
-use crate::sweep::{ScenarioSpec, SchedulerSpec, WorkloadSpec};
-use cohesion_engine::{fnv1a, Budget, Checkpoint, Simulation, SimulationReport};
-use cohesion_model::frame::Ambient;
+use cohesion_engine::fnv1a;
 use serde::Serialize;
 use serde_json::Value;
 
@@ -222,64 +220,12 @@ pub struct ShardOutcome {
     pub rows: Vec<String>,
 }
 
-/// `true` when this cell runs through a resumable engine session (the
-/// default dispatch, minus the §7 adversary driver).
-fn engine_cell(exp: &dyn Experiment, spec: &ScenarioSpec) -> bool {
-    exp.engine_driven() && !matches!(spec.scheduler, SchedulerSpec::AdversaryNested { .. })
-}
-
-/// Drives one engine cell to termination, checkpointing every
-/// `checkpoint_events` events through `on_cut`. Returns `None` when the
-/// callback stopped the run.
-fn drive_engine_cell<P: Ambient>(
-    mut session: Simulation<P>,
-    resume: Option<&str>,
-    checkpoint_events: usize,
-    progress: &CellProgress<'_>,
-    on_cut: &mut dyn FnMut(usize, String) -> CheckpointControl,
-) -> Result<Option<SimulationReport<P>>, String> {
-    if let Some(engine) = resume {
-        let ckpt = Checkpoint::from_json(engine)?;
-        session.restore(&ckpt)?;
-    }
-    let step = checkpoint_events.clamp(1, PROGRESS_HEARTBEAT_EVENTS);
-    let mut since_beat = 0usize;
-    let mut since_ckpt = 0usize;
-    let mut checkpointable = true;
-    loop {
-        if session.run_for(Budget::events(step)).is_terminal() {
-            break;
-        }
-        since_beat += step;
-        since_ckpt += step;
-        if progress.enabled() && since_beat >= PROGRESS_HEARTBEAT_EVENTS {
-            progress.heartbeat(&session.progress());
-            since_beat = 0;
-        }
-        if checkpointable && since_ckpt >= checkpoint_events {
-            since_ckpt = 0;
-            // A scheduler without checkpoint support degrades this one cell
-            // to cell-boundary granularity instead of failing the shard.
-            match session.save() {
-                Ok(ckpt) => {
-                    let events = session.progress().events;
-                    if on_cut(events, ckpt.to_json()) == CheckpointControl::Stop {
-                        return Ok(None);
-                    }
-                }
-                Err(_) => checkpointable = false,
-            }
-        }
-    }
-    Ok(Some(session.into_report()))
-}
-
-/// The sequential resumable shard driver behind `lab worker`.
+/// The sequential resumable shard loop behind `lab worker`.
 ///
 /// Runs the shard's cells in spec order, optionally continuing from a
-/// [`ShardCheckpoint`]. `on_checkpoint` fires with a fresh checkpoint every
-/// `checkpoint_events` engine events inside engine-driven cells and at
-/// every interior cell boundary; returning [`CheckpointControl::Stop`]
+/// [`ShardCheckpoint`]. `on_checkpoint` fires with a fresh checkpoint at
+/// every multiple of `checkpoint_events` engine events inside session cells
+/// and at every interior cell boundary; returning [`CheckpointControl::Stop`]
 /// abandons the run (`Ok(None)`). On completion the outcome carries the
 /// full row set — byte-identical to an unresumed `run_shard_cells` pass,
 /// whatever the cadence or cut.
@@ -331,64 +277,31 @@ pub fn run_shard_resumable(
     for rel in start_cell..specs.len() {
         let spec = &specs[rel];
         let abs = base + rel;
-        let progress = CellProgress::new(sink, abs, spec.tag);
-        progress.start();
-        let resume_engine = cut.take().map(|c| c.engine);
-        let outcome = if engine_cell(exp, spec) {
-            let mut on_cut = |events: usize, engine: String| {
-                on_checkpoint(&ShardCheckpoint {
-                    experiment: exp.name().to_string(),
-                    shard: shard_str.clone(),
-                    quick: profile.is_quick(),
-                    cells_done: rel,
-                    rows: rows.clone(),
-                    current: Some(CellCut {
-                        cell: abs,
-                        events,
-                        engine,
-                    }),
-                })
-            };
-            let report = if matches!(spec.workload, WorkloadSpec::Ball3 { .. }) {
-                drive_engine_cell(
-                    spec.session3(),
-                    resume_engine.as_deref(),
-                    checkpoint_events,
-                    &progress,
-                    &mut on_cut,
-                )?
-                .map(|r| Outcome::Report3(Box::new(r)))
-            } else {
-                drive_engine_cell(
-                    spec.session(),
-                    resume_engine.as_deref(),
-                    checkpoint_events,
-                    &progress,
-                    &mut on_cut,
-                )?
-                .map(|r| Outcome::Report(Box::new(r)))
-            };
-            match report {
-                Some(outcome) => outcome,
-                None => return Ok(None),
-            }
-        } else {
-            if resume_engine.is_some() {
-                return Err(format!(
-                    "checkpoint holds mid-cell engine state for cell {abs}, which has no \
-                     resumable engine driver"
-                ));
-            }
-            exp.run(spec, &progress)
+        let mut on_cut = |events: usize, engine: String| {
+            on_checkpoint(&ShardCheckpoint {
+                experiment: exp.name().to_string(),
+                shard: shard_str.clone(),
+                quick: profile.is_quick(),
+                cells_done: rel,
+                rows: rows.clone(),
+                current: Some(CellCut {
+                    cell: abs,
+                    events,
+                    engine,
+                }),
+            })
         };
-        let cell_rows = exp.reduce(spec, &outcome);
-        progress.done(&outcome, cell_rows.len());
-        rows.extend(cell_rows.iter().map(|r| r.as_str().to_string()));
-        cells.push(LabCell {
-            spec: spec.clone(),
-            outcome,
-            rows: cell_rows,
-        });
+        let cuts = CellCuts {
+            every: checkpoint_events,
+            resume: cut.take().map(|c| c.engine),
+            on_cut: &mut on_cut,
+        };
+        let progress = CellProgress::new(sink, abs, spec.tag);
+        let Some(cell) = run_cell(exp, spec, &progress, Some(cuts))? else {
+            return Ok(None);
+        };
+        rows.extend(cell.rows.iter().map(|r| r.as_str().to_string()));
+        cells.push(cell);
         // Every interior cell boundary is a checkpoint for free; after the
         // last cell the Done frame follows immediately, so none is cut.
         if rel + 1 < specs.len() {

@@ -25,8 +25,7 @@ use cohesion_engine::{Simulation, SimulationBuilder, SimulationReport};
 use cohesion_geometry::{Vec2, Vec3};
 use cohesion_model::frame::Ambient;
 use cohesion_model::{
-    Algorithm, Budget, Configuration, FrameMode, MotionModel, NilAlgorithm, PerceptionModel,
-    Progress,
+    Algorithm, Configuration, FrameMode, MotionModel, NilAlgorithm, PerceptionModel,
 };
 use cohesion_scheduler::{
     AsyncScheduler, FSyncScheduler, KAsyncScheduler, NestAScheduler, SSyncScheduler, Scheduler,
@@ -153,9 +152,9 @@ pub enum SchedulerSpec {
     Figure4b,
     /// The §7 sliver-flattening adversary with unbounded nesting. This is a
     /// *driver*, not an engine scheduler: scenarios carrying it must use a
-    /// [`WorkloadSpec::SpiralTail`] workload and run through the lab's
-    /// outcome dispatch (`crate::lab::Outcome::compute`), which hands the
-    /// victim algorithm to `cohesion_adversary::run_impossibility`.
+    /// [`WorkloadSpec::SpiralTail`] workload and run through the lab's cell
+    /// driver (`crate::lab::run_cell`), which hands the victim algorithm to
+    /// `cohesion_adversary::run_impossibility`.
     AdversaryNested {
         /// Budget of flattening sweeps over the spiral tail.
         max_sweeps: usize,
@@ -497,7 +496,7 @@ impl ScenarioSpec {
     /// # Panics
     ///
     /// Panics for specs that are not a single 2D engine run (3D workloads,
-    /// the §7 adversary) — the lab's `Outcome::compute` dispatches those.
+    /// the §7 adversary) — the lab's `run_cell` dispatches those.
     #[must_use]
     pub fn session(&self) -> Simulation<Vec2> {
         self.configure(self.workload.build(), self.algorithm.build())
@@ -520,58 +519,11 @@ impl ScenarioSpec {
     /// # Panics
     ///
     /// Panics for specs that are not a single 2D engine run (3D workloads,
-    /// the §7 adversary) — the lab's `Outcome::compute` dispatches those.
+    /// the §7 adversary) — the lab's `run_cell` dispatches those.
     #[must_use]
     pub fn run(&self) -> SimulationReport<Vec2> {
         self.session().run_to_completion()
     }
-
-    /// Runs a 3D scenario ([`WorkloadSpec::Ball3`]) to a full report.
-    ///
-    /// # Panics
-    ///
-    /// Panics for 2D workloads or algorithms without a 3D generalization.
-    #[must_use]
-    pub fn run3(&self) -> SimulationReport<Vec3> {
-        self.session3().run_to_completion()
-    }
-
-    /// Runs the 2D scenario in `every`-event slices, reporting a
-    /// [`Progress`] view between slices — the driver behind the lab's
-    /// per-cell heartbeats. Slicing is invisible in the report (the session
-    /// equivalence suite pins sliced ≡ uninterrupted byte-for-byte).
-    #[must_use]
-    pub fn run_with_heartbeat(
-        &self,
-        every: usize,
-        on_beat: impl FnMut(&Progress),
-    ) -> SimulationReport<Vec2> {
-        drive_with_heartbeat(self.session(), every, on_beat)
-    }
-
-    /// The 3D counterpart of [`ScenarioSpec::run_with_heartbeat`].
-    #[must_use]
-    pub fn run3_with_heartbeat(
-        &self,
-        every: usize,
-        on_beat: impl FnMut(&Progress),
-    ) -> SimulationReport<Vec3> {
-        drive_with_heartbeat(self.session3(), every, on_beat)
-    }
-}
-
-/// Drives a session to termination in `every`-event slices, invoking
-/// `on_beat` with a fresh progress view after each incomplete slice.
-fn drive_with_heartbeat<P: Ambient>(
-    mut session: Simulation<P>,
-    every: usize,
-    mut on_beat: impl FnMut(&Progress),
-) -> SimulationReport<P> {
-    assert!(every > 0, "heartbeat cadence must be positive");
-    while !session.run_for(Budget::events(every)).is_terminal() {
-        on_beat(&session.progress());
-    }
-    session.into_report()
 }
 
 /// Executes work items in parallel on a scoped thread pool and merges
@@ -654,24 +606,6 @@ impl SweepRunner {
     pub fn run_scenarios(&self, specs: &[ScenarioSpec]) -> Vec<SimulationReport<Vec2>> {
         self.run(specs, |_, spec| spec.run())
     }
-
-    /// Like [`SweepRunner::run_scenarios`], but each cell is driven as a
-    /// session in `every`-event slices and `on_beat(spec_index, progress)`
-    /// fires between slices — live per-cell telemetry for long sweeps,
-    /// with reports still byte-identical to the unobserved run.
-    pub fn run_scenarios_observed<F>(
-        &self,
-        specs: &[ScenarioSpec],
-        every: usize,
-        on_beat: F,
-    ) -> Vec<SimulationReport<Vec2>>
-    where
-        F: Fn(usize, &Progress) + Sync,
-    {
-        self.run(specs, |i, spec| {
-            spec.run_with_heartbeat(every, |p| on_beat(i, p))
-        })
-    }
 }
 
 impl Default for SweepRunner {
@@ -735,41 +669,6 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
         let _ = SweepRunner::with_threads(0);
-    }
-
-    #[test]
-    fn heartbeat_driver_beats_and_matches_the_plain_run() {
-        let spec = ScenarioSpec {
-            max_events: 1_000,
-            ..ScenarioSpec::new(
-                WorkloadSpec::Line { n: 3, spacing: 0.9 },
-                AlgorithmSpec::Nil,
-                SchedulerSpec::FSync,
-            )
-        };
-        let mut beats = 0usize;
-        let mut last_events = 0usize;
-        let observed = spec.run_with_heartbeat(100, |p| {
-            beats += 1;
-            assert!(p.events > last_events, "beats carry fresh progress");
-            last_events = p.events;
-            assert!(p.cohesion_ok && !p.converged);
-        });
-        assert!(
-            beats >= 9,
-            "a 1000-event run in 100-event slices beats ≥ 9×, got {beats}"
-        );
-        assert_eq!(observed, spec.run(), "slicing must not perturb the report");
-
-        let runner = SweepRunner::with_threads(2);
-        let specs = [spec.clone(), spec.clone()];
-        let plain = runner.run_scenarios(&specs);
-        let counter = AtomicUsize::new(0);
-        let watched = runner.run_scenarios_observed(&specs, 100, |_, _| {
-            counter.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(plain, watched);
-        assert!(counter.load(Ordering::Relaxed) >= 18);
     }
 
     #[test]

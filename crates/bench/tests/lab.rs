@@ -8,9 +8,11 @@
 //! (including `merge_shards`), and the CLI's rejection of malformed or
 //! out-of-range `--shard` arguments.
 
+mod common;
+
 use cohesion_bench::lab::{
     lab_main, merge_shards, progress_file_name, run_experiment, CellProgress, Experiment, JsonRow,
-    LabOptions, Outcome, Profile, Shard,
+    LabOptions, Outcome, Profile, Shard, PROGRESS_HEARTBEAT_EVENTS,
 };
 use cohesion_bench::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, WorkloadSpec};
 use proptest::prelude::*;
@@ -66,8 +68,8 @@ impl Experiment for SyntheticGrid {
             .collect()
     }
 
-    fn run(&self, _spec: &ScenarioSpec, _progress: &CellProgress<'_>) -> Outcome {
-        Outcome::Analytic
+    fn run(&self, _spec: &ScenarioSpec, _progress: &CellProgress<'_>) -> Option<Outcome> {
+        Some(Outcome::Analytic)
     }
 
     fn reduce(&self, spec: &ScenarioSpec, _outcome: &Outcome) -> Vec<JsonRow> {
@@ -242,25 +244,21 @@ fn progress_sidecar_is_written_and_well_formed() {
 }
 
 /// A cell whose budget exceeds the 100k-event heartbeat cadence actually
-/// streams heartbeats through `Outcome::compute_with`, with monotonically
-/// increasing event counts, and still lands on the plain-run report.
+/// streams heartbeats through `run_experiment --progress`, at exactly the
+/// multiples of the cadence, and still lands on the plain-run report.
 #[test]
 fn engine_cells_past_the_cadence_emit_heartbeats() {
-    use cohesion_bench::lab::{CellProgress, ProgressSink, PROGRESS_HEARTBEAT_EVENTS};
     let dir = scratch_dir("heartbeat");
-    let spec = ScenarioSpec {
-        max_events: 2 * PROGRESS_HEARTBEAT_EVENTS + PROGRESS_HEARTBEAT_EVENTS / 2,
-        ..ScenarioSpec::new(
-            WorkloadSpec::Line { n: 3, spacing: 0.9 },
-            AlgorithmSpec::Nil,
-            SchedulerSpec::FSync,
-        )
+    let opts = LabOptions {
+        profile: Profile::Quick,
+        threads: Some(1),
+        out_dir: Some(dir.clone()),
+        shard: None,
+        progress: true,
     };
-    let sidecar = dir.join("heartbeat.progress.jsonl");
-    let sink = ProgressSink::create(&sidecar, "heartbeat_fixture", None).expect("sink");
-    let outcome = Outcome::compute_with(&spec, &CellProgress::new(Some(&sink), 0, spec.tag));
-    drop(sink);
+    run_experiment(&common::LongCell, &opts).expect("the cell reproduces the plain run");
 
+    let sidecar = dir.join(progress_file_name("long_cell", None));
     let content = std::fs::read_to_string(&sidecar).expect("sidecar written");
     let beats: Vec<&str> = content
         .lines()
@@ -275,11 +273,6 @@ fn engine_cells_past_the_cadence_emit_heartbeats() {
             "beat {i} should land at {expected} events: {line}"
         );
     }
-    assert_eq!(
-        outcome.report(),
-        &spec.run(),
-        "heartbeat-driven cell must reproduce the plain run"
-    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -318,47 +311,6 @@ fn progress_sidecar_is_shard_qualified() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Every deprecated `exp_*` shim binary forwards to exactly the registry
-/// experiment id `lab list` reports, and no shim is orphaned — the sources
-/// are scanned so a registry rename cannot silently drift from its shim.
-#[test]
-fn shim_binaries_forward_to_registry_experiments() {
-    let bin_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("src/bin");
-    let mut shims: Vec<String> = Vec::new();
-    for entry in std::fs::read_dir(&bin_dir).expect("read src/bin") {
-        let path = entry.expect("dir entry").path();
-        let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-            continue;
-        };
-        let Some(name) = stem.strip_prefix("exp_") else {
-            continue;
-        };
-        let source = std::fs::read_to_string(&path).expect("read shim source");
-        assert!(
-            source.contains(&format!("shim_main(\"{name}\")")),
-            "{stem}: shim must forward to `shim_main(\"{name}\")`, the registry name \
-             matching its binary name"
-        );
-        shims.push(name.to_string());
-    }
-    let registry: Vec<&str> = cohesion_bench::experiments::REGISTRY
-        .iter()
-        .map(|e| e.name())
-        .collect();
-    for name in &shims {
-        assert!(
-            registry.contains(&name.as_str()),
-            "shim exp_{name} forwards to an unregistered experiment"
-        );
-    }
-    for name in &registry {
-        assert!(
-            shims.iter().any(|s| s == name),
-            "registry experiment '{name}' has no exp_{name} shim binary"
-        );
-    }
-}
-
 /// Out-of-range and malformed `--shard` arguments fail with a clear error,
 /// both at the parser and through the CLI entry point.
 #[test]
@@ -381,6 +333,19 @@ fn out_of_range_shard_arguments_fail_clearly() {
         .collect();
     let err = lab_main(&args).unwrap_err();
     assert!(err.contains("at least 1"), "{err}");
+}
+
+/// `lab worker` drives its shard's cells sequentially, so `--threads` is an
+/// error that points at the knob that does size a fleet, not a silent no-op.
+#[test]
+fn worker_rejects_threads_naming_shards() {
+    let args: Vec<String> = ["worker", "--connect", "127.0.0.1:1", "--threads", "4"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    let err = lab_main(&args).unwrap_err();
+    assert!(err.contains("--threads"), "{err}");
+    assert!(err.contains("--shards"), "{err}");
 }
 
 /// `merge_shards` streams: a multi-megabyte synthetic shard set merges into

@@ -7,11 +7,15 @@
 //! cut at a mid-cell checkpoint and resumed in a fresh driver reproduces
 //! the uninterrupted rows exactly, the resumed driver starts *strictly
 //! beyond* the cut (no recompute of completed cells, no restart of the
-//! in-flight cell), and mismatched resumes fail loudly instead of
-//! producing wrong rows.
+//! in-flight cell), mismatched resumes fail loudly instead of producing
+//! wrong rows, and a checkpointing worker beats on the same heartbeat grid
+//! as a local run.
+
+mod common;
 
 use cohesion_bench::lab::{
     run_shard_cells, Experiment, Profile, ProgressOutput, ProgressRecord, ProgressSink, Shard,
+    PROGRESS_HEARTBEAT_EVENTS,
 };
 use cohesion_bench::resume::{run_shard_resumable, CheckpointControl, ShardCheckpoint};
 use std::sync::{Arc, Mutex};
@@ -44,29 +48,61 @@ impl ProgressOutput for CaptureProgress {
     }
 }
 
-/// A complete resumable pass (cadence far beyond any quick cell, so only
-/// boundary checkpoints fire) produces exactly the classic runner's rows.
+/// A complete resumable pass produces exactly the classic runner's rows for
+/// every cell kind: 2D sessions (`k_scaling`, `convergence_rate`), 3D
+/// sessions (`extensions`), §7 adversary cells (`impossibility`) and a
+/// bespoke driver (`lemmas`). The cadence is small enough to cut sessions
+/// mid-run, and resuming from the last mid-cell cut (for `extensions`, one
+/// inside its final, 3D cell) reproduces the same rows.
 #[test]
 fn resumable_driver_matches_classic_runner_row_for_row() {
-    for name in ["k_scaling", "convergence_rate"] {
+    let cadence = 1024;
+    for (name, sessions) in [
+        ("k_scaling", true),
+        ("convergence_rate", true),
+        ("extensions", true),
+        ("impossibility", false),
+        ("lemmas", false),
+    ] {
         let exp = registry_experiment(name);
-        let shard = Shard { index: 0, count: 2 };
-        let outcome = run_shard_resumable(
-            exp,
-            Profile::Quick,
-            shard,
-            None,
-            usize::MAX,
-            None,
-            &mut |_| CheckpointControl::Continue,
-        )
-        .expect("resumable pass")
-        .expect("ran to completion");
+        let shard = Shard { index: 0, count: 1 };
+        let classic = classic_rows(exp, shard);
+        let mut last_cut: Option<ShardCheckpoint> = None;
+        let outcome =
+            run_shard_resumable(exp, Profile::Quick, shard, None, cadence, None, &mut |c| {
+                if c.current.is_some() {
+                    last_cut = Some(c.clone());
+                }
+                CheckpointControl::Continue
+            })
+            .expect("resumable pass")
+            .expect("ran to completion");
         assert_eq!(
-            outcome.rows,
-            classic_rows(exp, shard),
+            outcome.rows, classic,
             "{name}: resumable rows must equal the classic runner's"
         );
+        assert_eq!(
+            last_cut.is_some(),
+            sessions,
+            "{name}: exactly the session cells are cut mid-run"
+        );
+        if let Some(cut) = last_cut {
+            let resumed = run_shard_resumable(
+                exp,
+                Profile::Quick,
+                shard,
+                Some(cut),
+                cadence,
+                None,
+                &mut |_| CheckpointControl::Continue,
+            )
+            .expect("resumed pass")
+            .expect("ran to completion");
+            assert_eq!(
+                resumed.rows, classic,
+                "{name}: rows resumed from the last mid-cell cut must equal the classic runner's"
+            );
+        }
     }
 }
 
@@ -263,4 +299,46 @@ fn mismatched_resume_is_refused() {
     )
     .expect_err("wrong experiment must be refused");
     assert!(err.contains("checkpoint is for"), "{err}");
+}
+
+/// A worker cutting every 30000 events beats where a local `--progress` run
+/// does — at exactly 100000 and 200000 events — and cuts at exactly the
+/// multiples of its cadence: the two grids never push each other off.
+#[test]
+fn worker_heartbeats_stay_on_the_local_grid() {
+    let shard = Shard { index: 0, count: 1 };
+    let records = Arc::new(Mutex::new(Vec::new()));
+    let capture = ProgressSink::with_output(
+        "long_cell",
+        Some(shard),
+        Box::new(CaptureProgress(Arc::clone(&records))),
+    );
+    let mut cuts = Vec::new();
+    run_shard_resumable(
+        &common::LongCell,
+        Profile::Quick,
+        shard,
+        None,
+        30_000,
+        Some(&capture),
+        &mut |c| {
+            cuts.extend(c.current.as_ref().map(|cut| cut.events));
+            CheckpointControl::Continue
+        },
+    )
+    .expect("resumable pass")
+    .expect("ran to completion");
+    let beats: Vec<usize> = records
+        .lock()
+        .expect("capture poisoned")
+        .iter()
+        .filter(|r| r.phase == "heartbeat")
+        .map(|r| r.events)
+        .collect();
+    assert_eq!(
+        beats,
+        [PROGRESS_HEARTBEAT_EVENTS, 2 * PROGRESS_HEARTBEAT_EVENTS],
+        "worker heartbeats must sit on the local 100k grid"
+    );
+    assert_eq!(cuts, (1..=8).map(|i| i * 30_000).collect::<Vec<_>>());
 }

@@ -4,7 +4,7 @@
 //! tolerances. At simulation scale (coordinates `O(n·V)` with `V ≈ 1`) plain
 //! `f64` evaluation leaves at least eight orders of magnitude between the
 //! constants the paper's constructions rely on and floating-point noise, so
-//! exact arithmetic is unnecessary (see DESIGN.md “Numerics”).
+//! exact arithmetic is unnecessary.
 
 use crate::vec2::Vec2;
 

@@ -299,8 +299,8 @@ pub trait Ambient: Point {
     fn sample_frame(mode: FrameMode, rng: &mut SmallRng) -> Self::AmbientFrame;
 
     /// Applies an angular distortion to a local displacement. The paper's
-    /// distortion model is planar; in 3D this is the identity (documented
-    /// substitution — see DESIGN.md).
+    /// distortion model is planar; in 3D this is the identity (a deliberate
+    /// substitution).
     fn distort(v: Self, d: &Distortion) -> Self;
 
     /// Inverse of [`Ambient::distort`].
