@@ -262,43 +262,37 @@ fn store_overhead_ratio(samples: usize) -> f64 {
 }
 
 /// Extracts `engine_look` medians from `BENCH_baseline.json` at the
-/// workspace root. The serde_json stand-in has no decoder, so this is a
-/// minimal field scanner over the committed format: records carry
-/// `"group"`, `"id"`, `"median_ns"` in that order.
+/// workspace root.
 fn load_baseline() -> std::collections::BTreeMap<String, f64> {
+    #[derive(serde::Deserialize)]
+    struct Baseline {
+        results: Vec<Record>,
+    }
+    #[derive(serde::Deserialize)]
+    struct Record {
+        group: String,
+        id: String,
+        median_ns: f64,
+    }
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_baseline.json");
     let text =
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    let mut medians = std::collections::BTreeMap::new();
-    let mut rest = text.as_str();
-    while let Some(at) = rest.find("\"group\"") {
-        rest = &rest[at..];
-        let Some(group) = string_value(rest) else {
-            break;
-        };
-        let Some(id_at) = rest.find("\"id\"") else {
-            break;
-        };
-        let Some(id) = string_value(&rest[id_at..]) else {
-            break;
-        };
-        let Some(med_at) = rest.find("\"median_ns\"") else {
-            break;
-        };
-        let Some(median) = number_value(&rest[med_at..]) else {
-            break;
-        };
-        if group == "engine_look" {
+    let baseline: Baseline =
+        serde_json::from_str(&text).unwrap_or_else(|e| panic!("parse {}: {e}", path.display()));
+    let medians: std::collections::BTreeMap<String, f64> = baseline
+        .results
+        .into_iter()
+        .filter(|r| r.group == "engine_look")
+        .map(|r| {
             // Baseline stores ns per iteration of one 3n-event round;
             // normalize to ns per event to match the live measurement.
-            let per_event = match id.rsplit('/').next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(n) => median / (3.0 * n),
-                None => median,
+            let per_event = match r.id.rsplit('/').next().and_then(|s| s.parse::<f64>().ok()) {
+                Some(n) => r.median_ns / (3.0 * n),
+                None => r.median_ns,
             };
-            medians.insert(id, per_event);
-        }
-        rest = &rest[med_at..];
-    }
+            (r.id, per_event)
+        })
+        .collect();
     assert!(
         !medians.is_empty(),
         "no engine_look records in {} — regenerate the baseline \
@@ -306,25 +300,4 @@ fn load_baseline() -> std::collections::BTreeMap<String, f64> {
         path.display()
     );
     medians
-}
-
-/// The first `"..."` string after the key at the start of `chunk`
-/// (skipping the key itself).
-fn string_value(chunk: &str) -> Option<String> {
-    let after_key = &chunk[chunk.find(':')?..];
-    let open = after_key.find('"')?;
-    let rest = &after_key[open + 1..];
-    let close = rest.find('"')?;
-    Some(rest[..close].to_string())
-}
-
-/// The first number after the key at the start of `chunk`.
-fn number_value(chunk: &str) -> Option<f64> {
-    let after_colon = chunk[chunk.find(':')? + 1..].trim_start();
-    let end = after_colon
-        .find(|c: char| {
-            !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
-        })
-        .unwrap_or(after_colon.len());
-    after_colon[..end].parse().ok()
 }

@@ -29,7 +29,7 @@ use cohesion_model::frame::Ambient;
 use cohesion_model::{Budget, Progress};
 use cohesion_telemetry::sync::Guarded;
 use cohesion_telemetry::{keys, StateStore};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -83,7 +83,7 @@ pub const PROGRESS_HEARTBEAT_EVENTS: usize = 100_000;
 /// records (session cells only, every
 /// [`PROGRESS_HEARTBEAT_EVENTS`] events), and a `done` record carrying the
 /// cell's final accounting and the number of JSONL rows it reduced to.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProgressRecord {
     /// Registry name of the experiment.
     pub experiment: String,

@@ -2,14 +2,14 @@
 //!
 //! Every frame payload is one [`Message`], encoded as compact serde-JSON by
 //! the derived `Serialize` (externally tagged: `{"Hello":{...}}`, unit
-//! variants as bare strings) and decoded through the `serde_json` stand-in's
-//! [`Value`] parser — the stand-in's `Deserialize` is a marker trait, so the
-//! decoding half is hand-written against the `Value` tree here, one place.
+//! variants as bare strings) and decoded by the derived `Deserialize`, which
+//! reads the same layout back: a tagged object must have exactly one key,
+//! unknown tags and missing fields are errors, unknown extra fields are
+//! ignored.
 
 use crate::lab::ProgressRecord;
-use cohesion_telemetry::{StateUpdate, TelemetryValue};
-use serde::Serialize;
-use serde_json::Value;
+use cohesion_telemetry::StateUpdate;
+use serde::{Deserialize, Serialize};
 
 /// Protocol revision. The handshake rejects any mismatch outright — with a
 /// two-frame protocol negotiation would buy nothing, and mixed-revision
@@ -26,7 +26,7 @@ use serde_json::Value;
 pub const PROTOCOL_VERSION: u32 = 3;
 
 /// One protocol frame payload.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Message {
     /// Worker → coordinator, first frame: identify and version-check.
     Hello {
@@ -144,172 +144,6 @@ impl Message {
     pub fn decode(payload: &[u8]) -> Result<Message, String> {
         let text =
             std::str::from_utf8(payload).map_err(|e| format!("payload is not UTF-8: {e}"))?;
-        let value = serde_json::from_str(text).map_err(|e| e.to_string())?;
-        Message::from_value(&value)
+        serde_json::from_str(text).map_err(|e| e.to_string())
     }
-
-    fn from_value(v: &Value) -> Result<Message, String> {
-        if let Some(tag) = v.as_str() {
-            return match tag {
-                "KeepAlive" => Ok(Message::KeepAlive),
-                "Shutdown" => Ok(Message::Shutdown),
-                other => Err(format!("unknown unit message `{other}`")),
-            };
-        }
-        let obj = v
-            .as_object()
-            .ok_or("message is neither a tag string nor a tagged object")?;
-        let mut entries = obj.iter();
-        let (Some((tag, body)), None) = (entries.next(), entries.next()) else {
-            return Err("tagged message must have exactly one key".into());
-        };
-        match tag.as_str() {
-            "Hello" => Ok(Message::Hello {
-                version: u32_field(body, "version")?,
-                cores: u32_field(body, "cores")?,
-            }),
-            "Welcome" => Ok(Message::Welcome {
-                version: u32_field(body, "version")?,
-                heartbeat_ms: u64_field(body, "heartbeat_ms")?,
-            }),
-            "Reject" => Ok(Message::Reject {
-                reason: str_field(body, "reason")?,
-            }),
-            "Assign" => Ok(Message::Assign {
-                experiment: str_field(body, "experiment")?,
-                shard: str_field(body, "shard")?,
-                quick: bool_field(body, "quick")?,
-                resume: bool_field(body, "resume")?,
-            }),
-            "Checkpoint" => Ok(Message::Checkpoint {
-                experiment: str_field(body, "experiment")?,
-                shard: str_field(body, "shard")?,
-                state: str_field(body, "state")?,
-            }),
-            "Heartbeat" => Ok(Message::Heartbeat {
-                record: progress_record(field(body, "record")?)?,
-            }),
-            "Rows" => Ok(Message::Rows {
-                experiment: str_field(body, "experiment")?,
-                shard: str_field(body, "shard")?,
-                chunk: str_field(body, "chunk")?,
-            }),
-            "Done" => Ok(Message::Done {
-                experiment: str_field(body, "experiment")?,
-                shard: str_field(body, "shard")?,
-                rows: u64_field(body, "rows")?,
-            }),
-            "Failed" => Ok(Message::Failed {
-                experiment: str_field(body, "experiment")?,
-                shard: str_field(body, "shard")?,
-                error: str_field(body, "error")?,
-            }),
-            "Subscribe" => Ok(Message::Subscribe {
-                version: u32_field(body, "version")?,
-            }),
-            "StateUpdate" => Ok(Message::StateUpdate {
-                updates: field(body, "updates")?
-                    .as_array()
-                    .ok_or("field `updates` is not an array")?
-                    .iter()
-                    .map(state_update)
-                    .collect::<Result<Vec<StateUpdate>, String>>()?,
-                dropped: u64_field(body, "dropped")?,
-            }),
-            other => Err(format!("unknown message `{other}`")),
-        }
-    }
-}
-
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-fn str_field(v: &Value, key: &str) -> Result<String, String> {
-    field(v, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("field `{key}` is not a string"))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field `{key}` is not an unsigned integer"))
-}
-
-fn u32_field(v: &Value, key: &str) -> Result<u32, String> {
-    u64_field(v, key)?
-        .try_into()
-        .map_err(|_| format!("field `{key}` exceeds u32"))
-}
-
-fn usize_field(v: &Value, key: &str) -> Result<usize, String> {
-    u64_field(v, key)?
-        .try_into()
-        .map_err(|_| format!("field `{key}` exceeds usize"))
-}
-
-fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field `{key}` is not a number"))
-}
-
-fn bool_field(v: &Value, key: &str) -> Result<bool, String> {
-    field(v, key)?
-        .as_bool()
-        .ok_or_else(|| format!("field `{key}` is not a boolean"))
-}
-
-fn telemetry_value(v: &Value) -> Result<TelemetryValue, String> {
-    let obj = v.as_object().ok_or("telemetry value is not an object")?;
-    let mut entries = obj.iter();
-    let (Some((tag, body)), None) = (entries.next(), entries.next()) else {
-        return Err("telemetry value must have exactly one key".into());
-    };
-    match tag.as_str() {
-        "U64" => body
-            .as_u64()
-            .map(TelemetryValue::U64)
-            .ok_or_else(|| "U64 value is not an unsigned integer".into()),
-        "F64" => body
-            .as_f64()
-            .map(TelemetryValue::F64)
-            .ok_or_else(|| "F64 value is not a number".into()),
-        "Bool" => body
-            .as_bool()
-            .map(TelemetryValue::Bool)
-            .ok_or_else(|| "Bool value is not a boolean".into()),
-        "Text" => body
-            .as_str()
-            .map(|s| TelemetryValue::Text(s.to_string()))
-            .ok_or_else(|| "Text value is not a string".into()),
-        other => Err(format!("unknown telemetry value tag `{other}`")),
-    }
-}
-
-fn state_update(v: &Value) -> Result<StateUpdate, String> {
-    Ok(StateUpdate {
-        seq: u64_field(v, "seq")?,
-        key: str_field(v, "key")?,
-        value: telemetry_value(field(v, "value")?)?,
-    })
-}
-
-fn progress_record(v: &Value) -> Result<ProgressRecord, String> {
-    Ok(ProgressRecord {
-        experiment: str_field(v, "experiment")?,
-        shard: str_field(v, "shard")?,
-        cell: usize_field(v, "cell")?,
-        tag: str_field(v, "tag")?,
-        phase: str_field(v, "phase")?,
-        events: usize_field(v, "events")?,
-        rounds: usize_field(v, "rounds")?,
-        time: f64_field(v, "time")?,
-        diameter: f64_field(v, "diameter")?,
-        cohesion_ok: bool_field(v, "cohesion_ok")?,
-        converged: bool_field(v, "converged")?,
-        rows: usize_field(v, "rows")?,
-    })
 }

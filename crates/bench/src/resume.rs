@@ -28,8 +28,7 @@ use crate::lab::{
     run_cell, CellCuts, CellProgress, Experiment, LabCell, Profile, ProgressSink, Shard,
 };
 use cohesion_engine::fnv1a;
-use serde::Serialize;
-use serde_json::Value;
+use serde::{Deserialize, Serialize};
 
 /// Format revision of the shard-checkpoint envelope. Bumped on any change
 /// to the sealed layout; a reader refuses other versions (the rows inside
@@ -37,7 +36,7 @@ use serde_json::Value;
 pub const SHARD_CHECKPOINT_VERSION: u32 = 1;
 
 /// The in-flight cell's cut: where the engine was stopped mid-run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellCut {
     /// Absolute grid index of the cell.
     pub cell: usize,
@@ -49,7 +48,7 @@ pub struct CellCut {
 }
 
 /// A whole shard's resumable state.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardCheckpoint {
     /// Registry name of the experiment.
     pub experiment: String,
@@ -66,22 +65,24 @@ pub struct ShardCheckpoint {
     pub current: Option<CellCut>,
 }
 
+/// The sealed on-wire/on-disk form of a [`ShardCheckpoint`]: the state as
+/// an embedded JSON string and its FNV-1a. Field order guarantees
+/// truncation at any byte breaks the JSON or the hash — a torn file can
+/// never half-restore. Owned state: the serde stand-in derives no
+/// lifetimes, and one extra copy per checkpoint is noise next to the socket
+/// write that follows.
+#[derive(Serialize, Deserialize)]
+struct Envelope {
+    version: u32,
+    hash: u64,
+    state: String,
+}
+
 impl ShardCheckpoint {
     /// Seals this checkpoint into its envelope: compact JSON
-    /// `{version, hash, state}` where `state` is the embedded state string
-    /// and `hash` its FNV-1a. Field order guarantees truncation at any byte
-    /// breaks the JSON or the hash — a torn file can never half-restore.
+    /// `{version, hash, state}`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        // Owned state: the workspace serde_derive stub has no lifetime
-        // support, and one extra copy per checkpoint is noise next to the
-        // socket write that follows.
-        #[derive(Serialize)]
-        struct Envelope {
-            version: u32,
-            hash: u64,
-            state: String,
-        }
         let state = serde_json::to_string(self).expect("serialize shard checkpoint");
         let envelope = Envelope {
             version: SHARD_CHECKPOINT_VERSION,
@@ -95,16 +96,17 @@ impl ShardCheckpoint {
     /// decode — in that order, so corrupt bytes are rejected before any of
     /// them is interpreted as state.
     pub fn from_json(text: &str) -> Result<ShardCheckpoint, String> {
-        let value = serde_json::from_str(text)
+        let Envelope {
+            version,
+            hash,
+            state,
+        } = serde_json::from_str(text)
             .map_err(|e| format!("shard checkpoint is not valid JSON: {e}"))?;
-        let version = u32_field(&value, "version")?;
         if version != SHARD_CHECKPOINT_VERSION {
             return Err(format!(
                 "shard checkpoint format v{version}; this build reads v{SHARD_CHECKPOINT_VERSION}"
             ));
         }
-        let hash = u64_field(&value, "hash")?;
-        let state = str_field(&value, "state")?;
         let computed = fnv1a(state.as_bytes());
         if computed != hash {
             return Err(format!(
@@ -112,9 +114,8 @@ impl ShardCheckpoint {
                  — the file is corrupt"
             ));
         }
-        let state_value = serde_json::from_str(&state)
-            .map_err(|e| format!("shard checkpoint state is not valid JSON: {e}"))?;
-        ShardCheckpoint::decode(&state_value)
+        serde_json::from_str(&state)
+            .map_err(|e| format!("shard checkpoint state does not decode: {e}"))
     }
 
     /// `Ok` when this checkpoint belongs to exactly the given assignment.
@@ -127,75 +128,6 @@ impl ShardCheckpoint {
         }
         Ok(())
     }
-
-    fn decode(v: &Value) -> Result<ShardCheckpoint, String> {
-        let rows = array_field(v, "rows")?
-            .iter()
-            .map(|r| {
-                r.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "checkpoint row is not a string".to_string())
-            })
-            .collect::<Result<Vec<String>, String>>()?;
-        let current = match field(v, "current")? {
-            Value::Null => None,
-            cut => Some(CellCut {
-                cell: usize_field(cut, "cell")?,
-                events: usize_field(cut, "events")?,
-                engine: str_field(cut, "engine")?,
-            }),
-        };
-        Ok(ShardCheckpoint {
-            experiment: str_field(v, "experiment")?,
-            shard: str_field(v, "shard")?,
-            quick: bool_field(v, "quick")?,
-            cells_done: usize_field(v, "cells_done")?,
-            rows,
-            current,
-        })
-    }
-}
-
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key)
-        .ok_or_else(|| format!("shard checkpoint is missing field `{key}`"))
-}
-
-fn str_field(v: &Value, key: &str) -> Result<String, String> {
-    field(v, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("shard checkpoint field `{key}` is not a string"))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("shard checkpoint field `{key}` is not an unsigned integer"))
-}
-
-fn u32_field(v: &Value, key: &str) -> Result<u32, String> {
-    u64_field(v, key)?
-        .try_into()
-        .map_err(|_| format!("shard checkpoint field `{key}` exceeds u32"))
-}
-
-fn usize_field(v: &Value, key: &str) -> Result<usize, String> {
-    u64_field(v, key)?
-        .try_into()
-        .map_err(|_| format!("shard checkpoint field `{key}` exceeds usize"))
-}
-
-fn bool_field(v: &Value, key: &str) -> Result<bool, String> {
-    field(v, key)?
-        .as_bool()
-        .ok_or_else(|| format!("shard checkpoint field `{key}` is not a boolean"))
-}
-
-fn array_field<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
-    field(v, key)?
-        .as_array()
-        .ok_or_else(|| format!("shard checkpoint field `{key}` is not an array"))
 }
 
 /// What the checkpoint callback tells the driver to do next. The worker's

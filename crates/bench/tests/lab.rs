@@ -12,7 +12,7 @@ mod common;
 
 use cohesion_bench::lab::{
     lab_main, merge_shards, progress_file_name, run_experiment, CellProgress, Experiment, JsonRow,
-    LabOptions, Outcome, Profile, Shard, PROGRESS_HEARTBEAT_EVENTS,
+    LabOptions, Outcome, Profile, ProgressRecord, Shard, PROGRESS_HEARTBEAT_EVENTS,
 };
 use cohesion_bench::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, WorkloadSpec};
 use proptest::prelude::*;
@@ -161,32 +161,18 @@ fn sharded_concatenation_matches_unsharded_registry() {
     }
 }
 
-/// Minimal structural well-formedness for one JSONL sidecar line (the
-/// offline serde_json stand-in has no decoder): one object per line with
-/// balanced quoting and every schema key present.
-fn assert_well_formed_progress_line(line: &str) {
-    assert!(
-        line.starts_with('{') && line.ends_with('}'),
-        "not a JSON object: {line}"
-    );
-    let quotes = line.matches('"').count() - line.matches("\\\"").count();
-    assert_eq!(quotes % 2, 0, "unbalanced quotes: {line}");
-    for key in [
-        "\"experiment\":",
-        "\"shard\":",
-        "\"cell\":",
-        "\"tag\":",
-        "\"phase\":",
-        "\"events\":",
-        "\"rounds\":",
-        "\"time\":",
-        "\"diameter\":",
-        "\"cohesion_ok\":",
-        "\"converged\":",
-        "\"rows\":",
-    ] {
-        assert!(line.contains(key), "missing {key}: {line}");
-    }
+/// Decodes a JSONL sidecar: every line is one complete [`ProgressRecord`]
+/// (all schema keys present and well-typed) in its canonical encoding.
+fn progress_records(content: &str) -> Vec<ProgressRecord> {
+    content
+        .lines()
+        .map(|line| {
+            let record: ProgressRecord =
+                serde_json::from_str(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            assert_eq!(serde_json::to_string(&record).unwrap(), line);
+            record
+        })
+        .collect()
 }
 
 /// `--progress` writes a well-formed JSONL sidecar — one start and one done
@@ -220,26 +206,15 @@ fn progress_sidecar_is_written_and_well_formed() {
 
     let sidecar = dir.join(progress_file_name(exp.output_stem(), None));
     let content = std::fs::read_to_string(&sidecar).expect("sidecar written");
-    let lines: Vec<&str> = content.lines().collect();
-    assert!(!lines.is_empty(), "sidecar is empty");
-    let mut starts = 0usize;
-    let mut dones = 0usize;
-    for line in &lines {
-        assert_well_formed_progress_line(line);
-        assert!(
-            line.contains(&format!("\"experiment\":\"{name}\"")),
-            "{line}"
-        );
-        assert!(line.contains("\"shard\":\"\""), "unsharded run: {line}");
-        if line.contains("\"phase\":\"start\"") {
-            starts += 1;
-        }
-        if line.contains("\"phase\":\"done\"") {
-            dones += 1;
-        }
+    let records = progress_records(&content);
+    assert!(!records.is_empty(), "sidecar is empty");
+    for r in &records {
+        assert_eq!(r.experiment, name);
+        assert_eq!(r.shard, "", "unsharded run");
     }
-    assert_eq!(starts, summary.cells, "one start record per cell");
-    assert_eq!(dones, summary.cells, "one done record per cell");
+    let count = |phase: &str| records.iter().filter(|r| r.phase == phase).count();
+    assert_eq!(count("start"), summary.cells, "one start record per cell");
+    assert_eq!(count("done"), summary.cells, "one done record per cell");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -260,19 +235,16 @@ fn engine_cells_past_the_cadence_emit_heartbeats() {
 
     let sidecar = dir.join(progress_file_name("long_cell", None));
     let content = std::fs::read_to_string(&sidecar).expect("sidecar written");
-    let beats: Vec<&str> = content
-        .lines()
-        .filter(|l| l.contains("\"phase\":\"heartbeat\""))
+    let beats: Vec<usize> = progress_records(&content)
+        .iter()
+        .filter(|r| r.phase == "heartbeat")
+        .map(|r| r.events)
         .collect();
-    assert_eq!(beats.len(), 2, "250k events at a 100k cadence beat twice");
-    for (i, line) in beats.iter().enumerate() {
-        assert_well_formed_progress_line(line);
-        let expected = (i + 1) * PROGRESS_HEARTBEAT_EVENTS;
-        assert!(
-            line.contains(&format!("\"events\":{expected},")),
-            "beat {i} should land at {expected} events: {line}"
-        );
-    }
+    assert_eq!(
+        beats,
+        [PROGRESS_HEARTBEAT_EVENTS, 2 * PROGRESS_HEARTBEAT_EVENTS],
+        "250k events at a 100k cadence beat twice, at the cadence multiples"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -293,21 +265,13 @@ fn progress_sidecar_is_shard_qualified() {
     run_experiment(&exp, &opts).expect("experiment runs");
     let sidecar = dir.join(progress_file_name("synthetic_grid", Some(shard)));
     let content = std::fs::read_to_string(&sidecar).expect("sharded sidecar written");
-    for line in content.lines() {
-        assert_well_formed_progress_line(line);
-        assert!(line.contains("\"shard\":\"1/2\""), "{line}");
-    }
+    let records = progress_records(&content);
+    assert!(records.iter().all(|r| r.shard == "1/2"), "{records:?}");
     // Shard 1/2 of 10 cells owns the absolute range 5..10.
-    for cell in 5..10 {
-        assert!(
-            content.contains(&format!("\"cell\":{cell},")),
-            "missing absolute cell {cell}"
-        );
-    }
-    assert!(
-        !content.contains("\"cell\":0,"),
-        "cell 0 belongs to shard 0"
-    );
+    let mut cells: Vec<usize> = records.iter().map(|r| r.cell).collect();
+    cells.sort_unstable();
+    cells.dedup();
+    assert_eq!(cells, (5..10).collect::<Vec<_>>(), "absolute cell indices");
     std::fs::remove_dir_all(&dir).ok();
 }
 

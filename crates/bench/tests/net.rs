@@ -415,6 +415,7 @@ fn oversized_and_garbage_frames_are_rejected() {
         b"{\"Nope\":{}}",
         b"{\"Hello\":{}}",
         b"[1,2]",
+        b"{\"Subscribe\":{\"version\":3},\"Shutdown\":null}",
     ] {
         let mut wire = (payload.len() as u32).to_be_bytes().to_vec();
         wire.extend_from_slice(payload);

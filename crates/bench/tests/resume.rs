@@ -18,6 +18,7 @@ use cohesion_bench::lab::{
     PROGRESS_HEARTBEAT_EVENTS,
 };
 use cohesion_bench::resume::{run_shard_resumable, CheckpointControl, ShardCheckpoint};
+use cohesion_engine::Checkpoint;
 use std::sync::{Arc, Mutex};
 
 fn registry_experiment(name: &str) -> &'static dyn Experiment {
@@ -189,6 +190,34 @@ fn resume_continues_strictly_beyond_the_cut_without_recompute() {
             next.events
         );
     }
+}
+
+/// A shard checkpoint persisted by an older build (`k_scaling`, quick,
+/// shard 0/2, cut inside cell 1 at cadence 256) still decodes, re-encodes
+/// to the same bytes, and resumes to the uninterrupted rows.
+#[test]
+fn v1_shard_checkpoint_fixture_round_trips_and_resumes() {
+    let text = include_str!("fixtures/shard_checkpoint_v1.json");
+    let ckpt = ShardCheckpoint::from_json(text).expect("v1 shard checkpoint");
+    assert_eq!(ckpt.to_json(), text);
+    let cut = ckpt.current.as_ref().expect("a mid-cell cut");
+    let engine = Checkpoint::from_json(&cut.engine).expect("v1 engine checkpoint");
+    assert_eq!(engine.to_json(), cut.engine);
+
+    let exp = registry_experiment("k_scaling");
+    let shard = Shard { index: 0, count: 2 };
+    let resumed = run_shard_resumable(
+        exp,
+        Profile::Quick,
+        shard,
+        Some(ckpt),
+        256,
+        None,
+        &mut |_| CheckpointControl::Continue,
+    )
+    .expect("resumed pass")
+    .expect("ran to completion");
+    assert_eq!(resumed.rows, classic_rows(exp, shard));
 }
 
 /// Measurement harness behind the `checkpoint_resume_wall_clock` entry in

@@ -35,6 +35,17 @@
 //! stand-ins print floats shortest-round-trip and parse them exactly, so
 //! the JSON round trip is bit-exact.
 //!
+//! # Decoding
+//!
+//! The state payload is decoded by derived `Deserialize` impls on the
+//! `*Repr`/`*State` shapes below, so the types carry the shape checks
+//! (field presence, exactly-one-key tagged enums, `rng` has 4 words,
+//! `u32` robot indices, whole round indices, well-ordered activation
+//! intervals). The semantic checks that need the session live in the repr
+//! conversions and in `Simulation::restore`: coordinate counts equal
+//! `P::DIM`, only Move phases are queued, and no violation pairs a robot
+//! with itself.
+//!
 //! [`Simulation`]: crate::session::Simulation
 
 use crate::engine::EngineEventKind;
@@ -44,8 +55,7 @@ use crate::state::RobotState;
 use cohesion_geometry::point::Point;
 use cohesion_model::{RobotId, RobotPair};
 use cohesion_scheduler::{ActivationInterval, SchedulerState};
-use serde::Serialize;
-use serde_json::Value;
+use serde::{Deserialize, Serialize};
 
 /// The checkpoint format version this build writes and reads.
 pub const CHECKPOINT_VERSION: u32 = 1;
@@ -116,17 +126,26 @@ impl Checkpoint {
     /// content hash. Any failure — including a torn write that truncated the
     /// file — is an error, never a silently wrong checkpoint.
     pub fn from_json(text: &str) -> Result<Checkpoint, String> {
-        let v = serde_json::from_str(text)
+        /// The stored fields; a [`Checkpoint`] exists only once they pass.
+        #[derive(Deserialize)]
+        struct Envelope {
+            version: u32,
+            fingerprint: u64,
+            hash: u64,
+            state: String,
+        }
+        let Envelope {
+            version,
+            fingerprint,
+            hash,
+            state,
+        } = serde_json::from_str(text)
             .map_err(|e| format!("checkpoint is not valid JSON (torn write?): {e}"))?;
-        let version = u32_field(&v, "version")?;
         if version != CHECKPOINT_VERSION {
             return Err(format!(
                 "checkpoint format v{version}; this build reads v{CHECKPOINT_VERSION}"
             ));
         }
-        let fingerprint = u64_field(&v, "fingerprint")?;
-        let hash = u64_field(&v, "hash")?;
-        let state = str_field(&v, "state")?.to_string();
         let computed = fnv1a(state.as_bytes());
         if computed != hash {
             return Err(format!(
@@ -145,9 +164,8 @@ impl Checkpoint {
     /// Decodes the embedded state payload (envelope integrity was already
     /// verified).
     pub(crate) fn decode_state(&self) -> Result<SessionState, String> {
-        let v = serde_json::from_str(&self.state)
-            .map_err(|e| format!("checkpoint state is not valid JSON: {e}"))?;
-        SessionState::decode(&v)
+        serde_json::from_str(&self.state)
+            .map_err(|e| format!("checkpoint state does not decode: {e}"))
     }
 }
 
@@ -157,7 +175,7 @@ impl Checkpoint {
 
 /// One robot's Look–Compute–Move state with positions flattened to
 /// coordinate arrays, so the encoding is identical for every ambient space.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) enum RobotStateRepr {
     Idle {
         position: Vec<f64>,
@@ -239,7 +257,7 @@ impl RobotStateRepr {
 }
 
 /// One pending phase event, in the queue's pop order.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct PendingRepr {
     pub(crate) time: f64,
     pub(crate) seq: u64,
@@ -282,7 +300,7 @@ impl PendingRepr {
 }
 
 /// The engine's mutable core.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct EngineState {
     pub(crate) time: f64,
     pub(crate) seq: u64,
@@ -295,13 +313,13 @@ pub(crate) struct EngineState {
     pub(crate) scheduler: SchedulerState,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct StrongState {
     pub(crate) ok: bool,
     pub(crate) acquired: Vec<u64>,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct HullState {
     pub(crate) nested: bool,
     /// `prev` hull vertices as `[x, y]` pairs; meaningful iff `has_prev`
@@ -310,7 +328,7 @@ pub(crate) struct HullState {
     pub(crate) prev: Vec<Vec<f64>>,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct ViolationRepr {
     pub(crate) a: u32,
     pub(crate) b: u32,
@@ -341,7 +359,7 @@ impl ViolationRepr {
 }
 
 /// The complete mutable session state — the checkpoint payload.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct SessionState {
     pub(crate) engine: EngineState,
     pub(crate) events: u64,
@@ -357,226 +375,6 @@ pub(crate) struct SessionState {
     pub(crate) hull: Option<HullState>,
     pub(crate) diameter_series: Vec<(f64, f64)>,
     pub(crate) diameter_converged: bool,
-}
-
-// ---------------------------------------------------------------------------
-// Hand-written decoding against the serde_json stand-in's Value tree
-// (the net-protocol idiom: helpers named after what they extract).
-// ---------------------------------------------------------------------------
-
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key)
-        .ok_or_else(|| format!("checkpoint state missing field '{key}'"))
-}
-
-fn str_field<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    field(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("checkpoint field '{key}' is not a string"))
-}
-
-fn bool_field(v: &Value, key: &str) -> Result<bool, String> {
-    field(v, key)?
-        .as_bool()
-        .ok_or_else(|| format!("checkpoint field '{key}' is not a boolean"))
-}
-
-fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("checkpoint field '{key}' is not a number"))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("checkpoint field '{key}' is not an unsigned integer"))
-}
-
-fn u32_field(v: &Value, key: &str) -> Result<u32, String> {
-    u64_field(v, key).and_then(|n| {
-        u32::try_from(n).map_err(|_| format!("checkpoint field '{key}' overflows u32"))
-    })
-}
-
-fn array_field<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
-    field(v, key)?
-        .as_array()
-        .ok_or_else(|| format!("checkpoint field '{key}' is not an array"))
-}
-
-fn f64_item(v: &Value, what: &str) -> Result<f64, String> {
-    v.as_f64()
-        .ok_or_else(|| format!("checkpoint {what} holds a non-number"))
-}
-
-fn u64_item(v: &Value, what: &str) -> Result<u64, String> {
-    v.as_u64()
-        .ok_or_else(|| format!("checkpoint {what} holds a non-integer"))
-}
-
-fn u64s_field(v: &Value, key: &str) -> Result<Vec<u64>, String> {
-    array_field(v, key)?
-        .iter()
-        .map(|x| u64_item(x, key))
-        .collect()
-}
-
-fn coords(v: &Value, what: &str) -> Result<Vec<f64>, String> {
-    v.as_array()
-        .ok_or_else(|| format!("checkpoint {what} is not a coordinate array"))?
-        .iter()
-        .map(|x| f64_item(x, what))
-        .collect()
-}
-
-/// `(number, number)` pairs — the serde stand-in encodes tuples as arrays.
-fn pair(v: &Value, what: &str) -> Result<(f64, f64), String> {
-    let arr = v
-        .as_array()
-        .ok_or_else(|| format!("checkpoint {what} is not a pair"))?;
-    if arr.len() != 2 {
-        return Err(format!("checkpoint {what} is not a 2-element pair"));
-    }
-    Ok((f64_item(&arr[0], what)?, f64_item(&arr[1], what)?))
-}
-
-fn interval(v: &Value) -> Result<ActivationInterval, String> {
-    Ok(ActivationInterval::new(
-        RobotId(u32_field(v, "robot")?),
-        f64_field(v, "look")?,
-        f64_field(v, "move_start")?,
-        f64_field(v, "end")?,
-    ))
-}
-
-impl RobotStateRepr {
-    fn decode(v: &Value) -> Result<RobotStateRepr, String> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| "checkpoint robot state is not an object".to_string())?;
-        let (tag, body) = obj
-            .iter()
-            .next()
-            .ok_or_else(|| "checkpoint robot state is empty".to_string())?;
-        match tag.as_str() {
-            "Idle" => Ok(RobotStateRepr::Idle {
-                position: coords(field(body, "position")?, "position")?,
-            }),
-            "Computing" => Ok(RobotStateRepr::Computing {
-                position: coords(field(body, "position")?, "position")?,
-                target: coords(field(body, "target")?, "target")?,
-                move_start: f64_field(body, "move_start")?,
-                move_end: f64_field(body, "move_end")?,
-            }),
-            "Moving" => Ok(RobotStateRepr::Moving {
-                from: coords(field(body, "from")?, "from")?,
-                to: coords(field(body, "to")?, "to")?,
-                t0: f64_field(body, "t0")?,
-                t1: f64_field(body, "t1")?,
-            }),
-            other => Err(format!("unknown checkpoint robot phase '{other}'")),
-        }
-    }
-}
-
-impl EngineState {
-    fn decode(v: &Value) -> Result<EngineState, String> {
-        let rng_words = u64s_field(v, "rng")?;
-        let rng: [u64; 4] = rng_words
-            .try_into()
-            .map_err(|_| "checkpoint rng state must have 4 words".to_string())?;
-        let robots = array_field(v, "robots")?
-            .iter()
-            .map(RobotStateRepr::decode)
-            .collect::<Result<Vec<_>, _>>()?;
-        let queue = array_field(v, "queue")?
-            .iter()
-            .map(|q| {
-                Ok(PendingRepr {
-                    time: f64_field(q, "time")?,
-                    seq: u64_field(q, "seq")?,
-                    robot: u32_field(q, "robot")?,
-                    kind: str_field(q, "kind")?.to_string(),
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let staged = match field(v, "staged")? {
-            Value::Null => None,
-            other => Some(interval(other)?),
-        };
-        Ok(EngineState {
-            time: f64_field(v, "time")?,
-            seq: u64_field(v, "seq")?,
-            rng,
-            robots,
-            queue,
-            staged,
-            completed_cycles: u64s_field(v, "completed_cycles")?,
-            scheduler: SchedulerState::decode(field(v, "scheduler")?)?,
-        })
-    }
-}
-
-impl SessionState {
-    pub(crate) fn decode(v: &Value) -> Result<SessionState, String> {
-        let round_diameters = array_field(v, "round_diameters")?
-            .iter()
-            .map(|p| {
-                let (r, d) = pair(p, "round_diameters")?;
-                if r < 0.0 || r.fract() != 0.0 {
-                    return Err("checkpoint round index is not a whole number".to_string());
-                }
-                Ok((r as u64, d))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let violations = array_field(v, "violations")?
-            .iter()
-            .map(|x| {
-                Ok(ViolationRepr {
-                    a: u32_field(x, "a")?,
-                    b: u32_field(x, "b")?,
-                    time: f64_field(x, "time")?,
-                    distance: f64_field(x, "distance")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let strong = match field(v, "strong")? {
-            Value::Null => None,
-            other => Some(StrongState {
-                ok: bool_field(other, "ok")?,
-                acquired: u64s_field(other, "acquired")?,
-            }),
-        };
-        let hull = match field(v, "hull")? {
-            Value::Null => None,
-            other => Some(HullState {
-                nested: bool_field(other, "nested")?,
-                has_prev: bool_field(other, "has_prev")?,
-                prev: array_field(other, "prev")?
-                    .iter()
-                    .map(|p| coords(p, "hull vertex"))
-                    .collect::<Result<Vec<_>, _>>()?,
-            }),
-        };
-        Ok(SessionState {
-            engine: EngineState::decode(field(v, "engine")?)?,
-            events: u64_field(v, "events")?,
-            rounds: u64_field(v, "rounds")?,
-            round_base: u64s_field(v, "round_base")?,
-            round_diameters,
-            converged: bool_field(v, "converged")?,
-            status: str_field(v, "status")?.to_string(),
-            violations,
-            strong,
-            hull,
-            diameter_series: array_field(v, "diameter_series")?
-                .iter()
-                .map(|p| pair(p, "diameter_series"))
-                .collect::<Result<Vec<_>, _>>()?,
-            diameter_converged: bool_field(v, "diameter_converged")?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -644,11 +442,175 @@ mod tests {
         for s in states {
             let repr = RobotStateRepr::of(s);
             let json = serde_json::to_string(&repr).expect("encode");
-            let value = serde_json::from_str(&json).expect("parse");
-            let decoded = RobotStateRepr::decode(&value).expect("decode");
+            let decoded: RobotStateRepr = serde_json::from_str(&json).expect("decode");
             assert_eq!(decoded, repr);
             let back: RobotState<Vec2> = decoded.to_state().expect("to_state");
             assert_eq!(back, s, "bit-exact state round trip");
+        }
+    }
+
+    // Frozen v1 checkpoints: files persisted by earlier builds must keep
+    // decoding to the same bytes and resuming.
+    const FIXTURE_2D: &str = include_str!("../tests/fixtures/checkpoint_v1_2d.json");
+    const FIXTURE_3D: &str = include_str!("../tests/fixtures/checkpoint_v1_3d.json");
+
+    /// The 2D fixture's spec: CoG (which breaks cohesion, so a violation
+    /// is on record) under 2-Async, cut at event 120.
+    fn fixture_2d() -> crate::SimulationBuilder {
+        crate::SimulationBuilder::new(
+            cohesion_workloads::random_connected(12, 1.0, 303),
+            cohesion_algorithms::CogAlgorithm::new(),
+        )
+        .scheduler(cohesion_scheduler::KAsyncScheduler::new(2, 0x5E55_10F1))
+        .visibility(1.0)
+        .seed(0xC0FF_EE02)
+        .epsilon(1e-3)
+        .max_events(3_000)
+        .track_strong_visibility(true)
+        .hull_check_every(16)
+        .diameter_sample_every(8)
+    }
+
+    /// The 3D fixture's spec: Kirkpatrick under 2-Async in a ball, cut at
+    /// event 1002.
+    fn fixture_3d() -> crate::SimulationBuilder<cohesion_geometry::Vec3> {
+        crate::SimulationBuilder::new(
+            cohesion_workloads::ball3(16, 1.0, 41),
+            cohesion_core::KirkpatrickAlgorithm::new(2),
+        )
+        .visibility(1.0)
+        .scheduler(cohesion_scheduler::KAsyncScheduler::new(2, 42))
+        .seed(43)
+        .epsilon(0.05)
+        .max_events(3_000)
+        .track_strong_visibility(true)
+        .diameter_sample_every(8)
+    }
+
+    fn report_hash(report: &impl Serialize) -> u64 {
+        fnv1a(serde_json::to_string(report).expect("encode").as_bytes())
+    }
+
+    #[test]
+    fn v1_fixtures_decode_and_re_encode_byte_for_byte() {
+        for text in [FIXTURE_2D, FIXTURE_3D] {
+            let ckpt = Checkpoint::from_json(text).expect("v1 envelope");
+            assert_eq!(ckpt.to_json(), text);
+            let state = ckpt.decode_state().expect("v1 state");
+            assert_eq!(serde_json::to_string(&state).expect("encode"), ckpt.state);
+        }
+        // The 2D cut exercises every optional part of the payload.
+        let state = Checkpoint::from_json(FIXTURE_2D)
+            .and_then(|c| c.decode_state())
+            .expect("v1 state");
+        assert!(state.engine.staged.is_some() && !state.engine.queue.is_empty());
+        assert!(!state.round_diameters.is_empty() && !state.violations.is_empty());
+        assert!(state.strong.is_some() && state.hull.as_ref().is_some_and(|h| h.has_prev));
+        assert!(!state.diameter_series.is_empty());
+    }
+
+    #[test]
+    fn v1_fixtures_resume_to_the_uninterrupted_report() {
+        let resumed_2d = {
+            let mut session = fixture_2d().build();
+            session
+                .restore(&Checkpoint::from_json(FIXTURE_2D).expect("v1 envelope"))
+                .expect("restore 2D");
+            while !session.step().is_terminal() {}
+            session.into_report()
+        };
+        assert_eq!(resumed_2d, fixture_2d().run());
+        assert_eq!(report_hash(&resumed_2d), 0xF567_19D6_3DFD_2D66);
+
+        let resumed_3d = {
+            let mut session = fixture_3d().build();
+            session
+                .restore(&Checkpoint::from_json(FIXTURE_3D).expect("v1 envelope"))
+                .expect("restore 3D");
+            while !session.step().is_terminal() {}
+            session.into_report()
+        };
+        assert_eq!(resumed_3d, fixture_3d().run());
+        assert_eq!(report_hash(&resumed_3d), 0x86E8_733E_F183_41FF);
+    }
+
+    /// Reseals the 2D fixture's state after `edit` (so the hash check
+    /// passes) and restores it; returns the restore error.
+    fn tampered_restore_error(edit: impl FnOnce(String) -> String) -> String {
+        let ckpt = Checkpoint::from_json(FIXTURE_2D).expect("v1 envelope");
+        let tampered = Checkpoint::seal(ckpt.fingerprint(), edit(ckpt.state.clone()));
+        let mut session = fixture_2d().build();
+        match session.restore(&tampered) {
+            Ok(()) => panic!("tampered state restored"),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn restore_rejects_hash_valid_malformed_states() {
+        fn bad_interval(look: f64, move_start: f64) -> ActivationInterval {
+            ActivationInterval {
+                robot: RobotId(0),
+                look,
+                move_start,
+                end: 3.0,
+            }
+        }
+        // Shape checks carried by the decoded types.
+        for (from, to, expect) in [
+            ("\"rng\":[", "\"rng\":[0,", "expected 4 elements"),
+            ("\"robot\":", "\"robot\":4294967296", "out of range for u32"),
+            (
+                "\"round_diameters\":[",
+                "\"round_diameters\":[[1.5,0.1],",
+                "expected an integer",
+            ),
+            (
+                "\"robots\":[{",
+                "\"robots\":[{\"Nope\":null,",
+                "exactly one key",
+            ),
+        ] {
+            let err = tampered_restore_error(|s| s.replacen(from, to, 1));
+            assert!(err.contains(expect), "{to}: expected `{expect}` in: {err}");
+        }
+        // Intervals out of phase order, and the repr conversions' checks.
+        type Edit = fn(&mut SessionState);
+        let edits: [(Edit, &str); 5] = [
+            (
+                |s| s.engine.staged = Some(bad_interval(2.0, 1.0)),
+                "out of order",
+            ),
+            (
+                |s| {
+                    s.engine.scheduler = SchedulerState::FSync {
+                        round: 1,
+                        queue: vec![bad_interval(1.0, 1.0)],
+                    }
+                },
+                "out of order",
+            ),
+            (
+                |s| {
+                    s.engine.robots[0] = RobotStateRepr::Idle {
+                        position: vec![0.0; 3],
+                    }
+                },
+                "3 coordinates",
+            ),
+            (
+                |s| s.engine.queue[0].kind = "Look".to_string(),
+                "only Move phases",
+            ),
+            (|s| s.violations[0].b = s.violations[0].a, "with itself"),
+        ];
+        for (edit, expect) in edits {
+            let err = tampered_restore_error(|json| {
+                let mut state: SessionState = serde_json::from_str(&json).expect("v1 state");
+                edit(&mut state);
+                serde_json::to_string(&state).expect("encode")
+            });
+            assert!(err.contains(expect), "expected `{expect}` in: {err}");
         }
     }
 }

@@ -17,7 +17,7 @@
 //! | D4   | concurrency confined to the approved modules |
 //! | D5   | every `unsafe` block carries a `// SAFETY:` comment |
 //! | D6   | no bare-`{}` float `Display` on row/telemetry emission paths |
-//! | P1   | every `Message` variant has encode + decode arms and a round-trip test |
+//! | P1   | every `Message` variant has encode + decode paths (serde derives or hand arms) and a round-trip test |
 //!
 //! Violations print rustc-style `file:line:col` diagnostics (or `--json`)
 //! and can be suppressed only through the checked-in `lint.toml` allowlist,

@@ -655,20 +655,21 @@ fn d6_float_format(file: &SourceFile) -> Vec<Violation> {
 // P1 — protocol cross-file consistency
 // ---------------------------------------------------------------------------
 
-const P1_HINT_DECODE: &str = "add a `\"<Variant>\" => …` arm to `Message::from_value` \
-     in net/protocol.rs";
+const P1_HINT_DECODE: &str = "derive `Deserialize` on `enum Message` (or write an \
+     explicit `\"<Variant>\" => …` decode arm) so a peer can parse the variant back";
 const P1_HINT_ENCODE: &str = "derive `Serialize` on `enum Message` (or write an \
      explicit encode arm) so the variant can be framed";
 const P1_HINT_TEST: &str = "add a `round_trip_<variant>` test to \
      crates/bench/tests/net.rs that encodes and decodes the variant";
 
 /// Checks that every variant of `enum Message` in `protocol` has a decode
-/// arm (its externally-tagged name matched as a string literal), an encode
-/// path (`Serialize` in the enum's derive list), and a dedicated
-/// `round_trip_*` test in `tests` that constructs the variant.
+/// path (`Deserialize` in the enum's derive list, or a hand arm matching its
+/// externally-tagged name as a string literal), an encode path (`Serialize`
+/// in the derive list), and a dedicated `round_trip_*` test in `tests` that
+/// constructs the variant.
 pub fn check_protocol(protocol: &SourceFile, tests: &SourceFile) -> Vec<Violation> {
     let mut out = Vec::new();
-    let Some((variants, has_serialize)) = message_enum(protocol) else {
+    let Some((variants, derives)) = message_enum(protocol) else {
         // No `enum Message` — nothing to check (fixtures exercise both).
         return out;
     };
@@ -685,7 +686,7 @@ pub fn check_protocol(protocol: &SourceFile, tests: &SourceFile) -> Vec<Violatio
     let covered = round_trip_coverage(tests);
 
     for v in &variants {
-        if !has_serialize {
+        if !derives.serialize {
             out.push(violation(
                 "P1",
                 protocol,
@@ -697,13 +698,13 @@ pub fn check_protocol(protocol: &SourceFile, tests: &SourceFile) -> Vec<Violatio
                 P1_HINT_ENCODE,
             ));
         }
-        if !decode_arms.iter().any(|a| a == &v.token.text) {
+        if !derives.deserialize && !decode_arms.iter().any(|a| a == &v.token.text) {
             out.push(violation(
                 "P1",
                 protocol,
                 &v.token,
                 format!(
-                    "`Message::{}` has no decode arm in `from_value`",
+                    "`Message::{}` has no decode arm (no `Deserialize` derive on the enum)",
                     v.token.text
                 ),
                 P1_HINT_DECODE,
@@ -729,9 +730,16 @@ struct Variant {
     token: Token,
 }
 
-/// Finds `enum Message { … }`, returning its variant name tokens and
-/// whether the derive list directly above it contains `Serialize`.
-fn message_enum(file: &SourceFile) -> Option<(Vec<Variant>, bool)> {
+/// Which serde traits the derive list directly above `enum Message` names.
+#[derive(Default)]
+struct MessageDerives {
+    serialize: bool,
+    deserialize: bool,
+}
+
+/// Finds `enum Message { … }`, returning its variant name tokens and the
+/// serde traits its derive list names.
+fn message_enum(file: &SourceFile) -> Option<(Vec<Variant>, MessageDerives)> {
     let sig = &file.sig;
     let start = (0..sig.len()).find(|&i| {
         is_ident(&sig[i], "enum")
@@ -741,7 +749,7 @@ fn message_enum(file: &SourceFile) -> Option<(Vec<Variant>, bool)> {
 
     // Derive list: scan the attribute tokens immediately before `enum`
     // (skipping doc comments happens for free — sig is comment-free).
-    let mut has_serialize = false;
+    let mut derives = MessageDerives::default();
     let mut j = start;
     // Step back over a visibility modifier: `pub` or `pub(crate)`-style.
     if j >= 1 && is_punct(&sig[j - 1], ")") {
@@ -774,9 +782,8 @@ fn message_enum(file: &SourceFile) -> Option<(Vec<Variant>, bool)> {
             }
         }
         if k >= 1 && is_punct(&sig[k - 1], "#") {
-            if sig[k..j].iter().any(|t| is_ident(t, "Serialize")) {
-                has_serialize = true;
-            }
+            derives.serialize |= sig[k..j].iter().any(|t| is_ident(t, "Serialize"));
+            derives.deserialize |= sig[k..j].iter().any(|t| is_ident(t, "Deserialize"));
             j = k - 1;
         } else {
             break;
@@ -826,7 +833,7 @@ fn message_enum(file: &SourceFile) -> Option<(Vec<Variant>, bool)> {
         }
         i += 1;
     }
-    Some((variants, has_serialize))
+    Some((variants, derives))
 }
 
 /// The set of `Message::X` variant names referenced inside the body of any

@@ -214,6 +214,8 @@ fn d6_out_of_scope_off_the_emission_paths() {
 const P1_PROTOCOL_OK: &str = include_str!("fixtures/p1_protocol_ok.rs");
 const P1_PROTOCOL_MISSING_DECODE: &str = include_str!("fixtures/p1_protocol_missing_decode.rs");
 const P1_PROTOCOL_NO_SERIALIZE: &str = include_str!("fixtures/p1_protocol_no_serialize.rs");
+const P1_PROTOCOL_DERIVED: &str = include_str!("fixtures/p1_protocol_derived.rs");
+const P1_PROTOCOL_NO_DECODE: &str = include_str!("fixtures/p1_protocol_no_decode.rs");
 const P1_TESTS_OK: &str = include_str!("fixtures/p1_tests_ok.rs");
 const P1_TESTS_MISSING: &str = include_str!("fixtures/p1_tests_missing.rs");
 
@@ -246,6 +248,20 @@ fn p1_trips_on_missing_serialize_derive() {
         .filter(|v| v.message.contains("encode arm"))
         .collect();
     assert_eq!(encode.len(), 3, "{v:#?}");
+}
+
+#[test]
+fn p1_accepts_a_deserialize_derive_as_every_decode_leg() {
+    let v = p1(P1_PROTOCOL_DERIVED, P1_TESTS_OK);
+    assert!(v.is_empty(), "{v:#?}");
+}
+
+#[test]
+fn p1_trips_on_missing_derive_and_arms() {
+    let v = p1(P1_PROTOCOL_NO_DECODE, P1_TESTS_OK);
+    // Every variant loses its decode leg at once; encoding is intact.
+    assert_eq!(rules_of(&v), ["P1", "P1", "P1"], "{v:#?}");
+    assert!(v.iter().all(|v| v.message.contains("decode arm")), "{v:#?}");
 }
 
 #[test]

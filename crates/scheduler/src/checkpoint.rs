@@ -8,17 +8,18 @@
 //! emits the identical continuation of the interval stream — the property
 //! the engine's byte-for-byte resume contract is built on.
 //!
-//! Encoding rides the workspace serde stand-in (compact JSON out) with a
-//! hand-written [`SchedulerState::decode`] against the `serde_json`
-//! stand-in's [`Value`] tree, the same idiom as the bench net protocol.
-//! All times are finite by [`ActivationInterval`]'s invariant, and the
-//! stand-in prints floats shortest-round-trip, so the JSON round trip is
+//! Encoding and decoding are both derived (`serde_json::to_string` /
+//! `serde_json::from_str::<SchedulerState>`). The types carry the shape
+//! checks: `rng` has exactly 4 words, `profile` exactly 5 knobs, `k`,
+//! robot indices and `skip_counts` fit in `u32`, the class tag is the one
+//! key of its object, and every queued or historical interval is decoded
+//! through [`ActivationInterval`]'s own invariant check. All times are
+//! finite by that invariant, and the serde stand-ins print floats
+//! shortest-round-trip and parse them exactly, so the JSON round trip is
 //! bit-exact.
 
 use crate::interval::ActivationInterval;
-use cohesion_model::RobotId;
-use serde::Serialize;
-use serde_json::Value;
+use serde::{Deserialize, Serialize};
 
 /// The duration-profile knobs of the random generators, flattened:
 /// `[compute_min, compute_max, move_min, move_max, jitter]`.
@@ -27,7 +28,7 @@ pub type ProfileState = [f64; 5];
 /// The mutable core of one scheduler, by generator class. Restoring a
 /// state onto a scheduler of a different class (or a different `k`) is an
 /// error, not a silent misresume.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SchedulerState {
     /// [`crate::FSyncScheduler`]: round counter + buffered round queue.
     FSync {
@@ -108,169 +109,7 @@ pub enum SchedulerState {
     },
 }
 
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key)
-        .ok_or_else(|| format!("scheduler state missing field '{key}'"))
-}
-
-fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("scheduler state field '{key}' is not a number"))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("scheduler state field '{key}' is not an unsigned integer"))
-}
-
-fn rng_field(v: &Value, key: &str) -> Result<[u64; 4], String> {
-    let arr = field(v, key)?
-        .as_array()
-        .ok_or_else(|| format!("scheduler state field '{key}' is not an array"))?;
-    if arr.len() != 4 {
-        return Err(format!("scheduler state field '{key}' must have 4 words"));
-    }
-    let mut out = [0u64; 4];
-    for (i, w) in arr.iter().enumerate() {
-        out[i] = w
-            .as_u64()
-            .ok_or_else(|| format!("scheduler state field '{key}[{i}]' is not a u64"))?;
-    }
-    Ok(out)
-}
-
-fn profile_field(v: &Value, key: &str) -> Result<ProfileState, String> {
-    let arr = field(v, key)?
-        .as_array()
-        .ok_or_else(|| format!("scheduler state field '{key}' is not an array"))?;
-    if arr.len() != 5 {
-        return Err(format!("scheduler state field '{key}' must have 5 knobs"));
-    }
-    let mut out = [0.0f64; 5];
-    for (i, w) in arr.iter().enumerate() {
-        out[i] = w
-            .as_f64()
-            .ok_or_else(|| format!("scheduler state field '{key}[{i}]' is not a number"))?;
-    }
-    Ok(out)
-}
-
-fn interval(v: &Value) -> Result<ActivationInterval, String> {
-    let robot = u64_field(v, "robot")?;
-    let robot =
-        u32::try_from(robot).map_err(|_| "interval robot index overflows u32".to_string())?;
-    Ok(ActivationInterval::new(
-        RobotId(robot),
-        f64_field(v, "look")?,
-        f64_field(v, "move_start")?,
-        f64_field(v, "end")?,
-    ))
-}
-
-fn intervals_field(v: &Value, key: &str) -> Result<Vec<ActivationInterval>, String> {
-    field(v, key)?
-        .as_array()
-        .ok_or_else(|| format!("scheduler state field '{key}' is not an array"))?
-        .iter()
-        .map(interval)
-        .collect()
-}
-
-fn f64s(v: &Value, key: &str) -> Result<Vec<f64>, String> {
-    v.as_array()
-        .ok_or_else(|| format!("scheduler state field '{key}' is not an array"))?
-        .iter()
-        .map(|x| {
-            x.as_f64()
-                .ok_or_else(|| format!("scheduler state field '{key}' holds a non-number"))
-        })
-        .collect()
-}
-
-fn u32s_field(v: &Value, key: &str) -> Result<Vec<u32>, String> {
-    field(v, key)?
-        .as_array()
-        .ok_or_else(|| format!("scheduler state field '{key}' is not an array"))?
-        .iter()
-        .map(|x| {
-            x.as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| format!("scheduler state field '{key}' holds a non-u32"))
-        })
-        .collect()
-}
-
-fn opt_f64s_field(v: &Value, key: &str) -> Result<Option<Vec<f64>>, String> {
-    match field(v, key)? {
-        Value::Null => Ok(None),
-        other => Ok(Some(f64s(other, key)?)),
-    }
-}
-
 impl SchedulerState {
-    /// Decodes a state from the `serde_json` stand-in's [`Value`] tree (the
-    /// inverse of the serde-derive encoding).
-    pub fn decode(v: &Value) -> Result<SchedulerState, String> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| "scheduler state is not an object".to_string())?;
-        let (tag, body) = obj
-            .iter()
-            .next()
-            .ok_or_else(|| "scheduler state object is empty".to_string())?;
-        match tag.as_str() {
-            "FSync" => Ok(SchedulerState::FSync {
-                round: u64_field(body, "round")?,
-                queue: intervals_field(body, "queue")?,
-            }),
-            "SSync" => Ok(SchedulerState::SSync {
-                rng: rng_field(body, "rng")?,
-                round: u64_field(body, "round")?,
-                skip_counts: u32s_field(body, "skip_counts")?,
-                queue: intervals_field(body, "queue")?,
-                inclusion_probability: f64_field(body, "inclusion_probability")?,
-            }),
-            "KAsync" => Ok(SchedulerState::KAsync {
-                k: u32::try_from(u64_field(body, "k")?)
-                    .map_err(|_| "scheduler state k overflows u32".to_string())?,
-                rng: rng_field(body, "rng")?,
-                profile: profile_field(body, "profile")?,
-                clock: f64_field(body, "clock")?,
-                next_free: opt_f64s_field(body, "next_free")?,
-                history: intervals_field(body, "history")?,
-            }),
-            "NestA" => Ok(SchedulerState::NestA {
-                k: u32::try_from(u64_field(body, "k")?)
-                    .map_err(|_| "scheduler state k overflows u32".to_string())?,
-                rng: rng_field(body, "rng")?,
-                clock: f64_field(body, "clock")?,
-                next_outer: u64_field(body, "next_outer")?,
-                queue: intervals_field(body, "queue")?,
-            }),
-            "Async" => Ok(SchedulerState::Async {
-                rng: rng_field(body, "rng")?,
-                profile: profile_field(body, "profile")?,
-                clock: f64_field(body, "clock")?,
-                next_free: opt_f64s_field(body, "next_free")?,
-                stretch_probability: f64_field(body, "stretch_probability")?,
-            }),
-            "Centralized" => Ok(SchedulerState::Centralized {
-                next: u64_field(body, "next")?,
-                clock: f64_field(body, "clock")?,
-            }),
-            "Scripted" => Ok(SchedulerState::Scripted {
-                name: field(body, "name")?
-                    .as_str()
-                    .ok_or_else(|| "scheduler state field 'name' is not a string".to_string())?
-                    .to_string(),
-                queue: intervals_field(body, "queue")?,
-            }),
-            other => Err(format!("unknown scheduler state class '{other}'")),
-        }
-    }
-
     /// The generator class the state belongs to, for error messages.
     #[must_use]
     pub fn class(&self) -> &'static str {
@@ -289,6 +128,7 @@ impl SchedulerState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cohesion_model::RobotId;
 
     fn iv(robot: u32, look: f64, ms: f64, end: f64) -> ActivationInterval {
         ActivationInterval::new(RobotId(robot), look, ms, end)
@@ -341,8 +181,7 @@ mod tests {
         ];
         for state in states {
             let json = serde_json::to_string(&state).expect("encode");
-            let value = serde_json::from_str(&json).expect("parse");
-            let decoded = SchedulerState::decode(&value).expect("decode");
+            let decoded: SchedulerState = serde_json::from_str(&json).expect("decode");
             assert_eq!(decoded, state, "round trip for {}", state.class());
         }
     }
@@ -357,10 +196,16 @@ mod tests {
             r#"{"FSync":{"round":-1,"queue":[]}}"#,
             r#"{"SSync":{"rng":[1,2,3],"round":0,"skip_counts":[],"queue":[],"inclusion_probability":0.5}}"#,
             r#"{"Async":{"rng":[1,2,3,4],"profile":[0.1,0.2,0.3],"clock":0.0,"next_free":null,"stretch_probability":0.1}}"#,
+            r#"{"KAsync":{"k":4294967296,"rng":[1,2,3,4],"profile":[0.1,0.2,0.3,0.4,0.5],"clock":0.0,"next_free":null,"history":[]}}"#,
+            r#"{"SSync":{"rng":[1,2,3,4],"round":0,"skip_counts":[4294967296],"queue":[],"inclusion_probability":0.5}}"#,
+            r#"{"FSync":{"round":1,"queue":[{"robot":4294967296,"look":0.0,"move_start":1.0,"end":2.0}]}}"#,
+            r#"{"FSync":{"round":1,"queue":[]},"Centralized":{"next":0,"clock":0.0}}"#,
+            // Intervals out of order: decoding must refuse, not panic.
+            r#"{"FSync":{"round":1,"queue":[{"robot":0,"look":2.0,"move_start":1.0,"end":3.0}]}}"#,
+            r#"{"FSync":{"round":1,"queue":[{"robot":0,"look":1.0,"move_start":1.0,"end":3.0}]}}"#,
         ] {
-            let value = serde_json::from_str(bad).expect("valid JSON");
             assert!(
-                SchedulerState::decode(&value).is_err(),
+                serde_json::from_str::<SchedulerState>(bad).is_err(),
                 "accepted malformed state {bad}"
             );
         }

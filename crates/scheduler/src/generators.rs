@@ -992,8 +992,7 @@ mod tests {
             let state = live.save_state().expect("checkpointable");
             // Round trip the state through JSON like a real checkpoint does.
             let json = serde_json::to_string(&state).expect("encode");
-            let value = serde_json::from_str(&json).expect("parse");
-            let decoded = SchedulerState::decode(&value).expect("decode");
+            let decoded: SchedulerState = serde_json::from_str(&json).expect("decode");
             assert_eq!(decoded, state);
             fresh.load_state(&decoded).expect("load");
             for i in 0..80 {

@@ -21,7 +21,9 @@ pub enum Phase {
 ///
 /// Invariants: `look < move_start ≤ end`, all finite. A Move of zero
 /// duration is permitted only for intervals that realize the nil movement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Decoding checks them too, so a malformed checkpoint is an error, not a
+/// panic.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ActivationInterval {
     /// The robot being activated.
     pub robot: RobotId,
@@ -40,20 +42,25 @@ impl ActivationInterval {
     ///
     /// Panics if the times are non-finite or out of order.
     pub fn new(robot: RobotId, look: f64, move_start: f64, end: f64) -> Self {
-        assert!(
-            look.is_finite() && move_start.is_finite() && end.is_finite(),
-            "activation times must be finite"
-        );
-        assert!(
-            look < move_start && move_start <= end,
-            "activation phases out of order: look={look}, move_start={move_start}, end={end}"
-        );
-        ActivationInterval {
+        Self::try_new(robot, look, move_start, end).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates an interval, or says which timing invariant the times break.
+    fn try_new(robot: RobotId, look: f64, move_start: f64, end: f64) -> Result<Self, String> {
+        if !(look.is_finite() && move_start.is_finite() && end.is_finite()) {
+            return Err("activation times must be finite".to_string());
+        }
+        if !(look < move_start && move_start <= end) {
+            return Err(format!(
+                "activation phases out of order: look={look}, move_start={move_start}, end={end}"
+            ));
+        }
+        Ok(ActivationInterval {
             robot,
             look,
             move_start,
             end,
-        }
+        })
     }
 
     /// Total interval duration.
@@ -95,6 +102,20 @@ impl ActivationInterval {
     /// (`other.look ≤ self.look` and `self.end ≤ other.end`).
     pub fn nested_in(&self, other: &ActivationInterval) -> bool {
         other.look <= self.look && self.end <= other.end
+    }
+}
+
+impl Deserialize for ActivationInterval {
+    fn deserialize_json(value: &serde::__private::Value) -> Result<Self, String> {
+        #[derive(Deserialize)]
+        struct Interval {
+            robot: RobotId,
+            look: f64,
+            move_start: f64,
+            end: f64,
+        }
+        let iv = Interval::deserialize_json(value)?;
+        Self::try_new(iv.robot, iv.look, iv.move_start, iv.end)
     }
 }
 

@@ -16,12 +16,12 @@
 //! so one coordinator store aggregates a whole fleet without key
 //! collisions.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::marker::PhantomData;
 
 /// A dynamically-typed metric value — what the store holds and the wire
 /// carries. Externally tagged on the wire (`{"F64":0.5}`, `{"U64":3}`).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TelemetryValue {
     /// Counters, digests, cadences.
     U64(u64),

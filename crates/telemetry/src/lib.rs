@@ -13,11 +13,10 @@
 //! * [`StoreObserver`] — the engine adapter: attach to any `Simulation`
 //!   session and its monitor/progress stream lands in a store.
 //!
-//! The bench layer builds on this: progress sinks tee into a store, the
-//! `lab serve` coordinator aggregates every shard's heartbeats into one
-//! store and re-broadcasts it over the framed-TCP protocol
-//! (`Subscribe`/`StateUpdate`, protocol v3), and `lab watch` renders it
-//! live. See the README "Telemetry" section for the wire format.
+//! The bench layer builds on this: the `lab serve` coordinator is the one
+//! publisher of `progress/*`, turning every shard's `Heartbeat` frames into
+//! updates in one store, and re-broadcasts it over the framed-TCP protocol
+//! (`Subscribe`/`StateUpdate`, protocol v3); `lab watch` renders it live. See the README "Telemetry" section for the wire format.
 //!
 //! Determinism posture: this crate never reads a clock and never touches
 //! the simulation it observes; all shared state funnels through the one

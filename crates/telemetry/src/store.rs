@@ -23,7 +23,7 @@
 
 use crate::keys::{Key, Metric, TelemetryValue};
 use crate::sync::Guarded;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -32,7 +32,7 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 4096;
 
 /// One published value: a store-global sequence stamp, the key it was
 /// published under, and the value.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StateUpdate {
     /// Store-global publish sequence, strictly increasing. Two updates to
     /// the same key always reach a subscriber in `seq` order; gaps mean
