@@ -8,7 +8,7 @@
 //! This facade crate re-exports the whole workspace under one roof:
 //!
 //! * [`geometry`] — vectors, hulls, smallest enclosing balls, cones, and
-//!   the uniform spatial grid behind near-linear radius queries;
+//!   the one incremental spatial grid behind near-linear radius queries;
 //! * [`model`] — the OBLOT robot model: configurations, CSR visibility
 //!   graphs, snapshots, local frames, error models;
 //! * [`scheduler`] — FSync / SSync / k-NestA / k-Async / Async activation
@@ -64,7 +64,7 @@ pub mod prelude {
         Budget, EventView, Monitor, MonitorContext, Observer, Progress, SessionStatus, Simulation,
         SimulationBuilder, SimulationReport, TraceRecorder,
     };
-    pub use crate::geometry::{SpatialGrid, Vec2, Vec3};
+    pub use crate::geometry::{Vec2, Vec3};
     pub use crate::model::{Configuration, RobotId, VisibilityGraph};
     pub use crate::scheduler::{
         AsyncScheduler, FSyncScheduler, KAsyncScheduler, NestAScheduler, SSyncScheduler,

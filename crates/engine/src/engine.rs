@@ -27,7 +27,7 @@
 //!   FSync round — interpolates each motile robot at most once;
 //! * the occlusion test walks only the (padded) grid cells around the sight
 //!   segment instead of all `n` robots;
-//! * all working sets live in pooled scratch buffers ([`LookScratch`]),
+//! * all working sets live in pooled scratch buffers (`LookScratch`),
 //!   including the [`Snapshot`] handed to the algorithm — the steady-state
 //!   Look performs no heap allocation.
 //!
@@ -222,7 +222,8 @@ where
     ///
     /// # Panics
     ///
-    /// Panics when the configuration is empty or `visibility ≤ 0`.
+    /// Panics when the configuration is empty or `visibility` is not
+    /// positive and finite.
     pub fn new(
         initial: &Configuration<P>,
         visibility: f64,
@@ -231,15 +232,14 @@ where
         seed: u64,
     ) -> Self {
         assert!(!initial.is_empty(), "need at least one robot");
-        assert!(visibility > 0.0, "visibility radius must be positive");
+        assert!(
+            visibility > 0.0 && visibility.is_finite(),
+            "visibility radius must be positive and finite, got {visibility}"
+        );
         // Dense grid extent over the initial configuration: the paper's
         // hull-diminishing dynamics keep the swarm inside it, so probes stay
         // on the direct-addressed fast path (strays spill gracefully).
-        let mut grid =
-            DynamicGrid::with_extent(initial.len(), grid_cell(visibility), initial.positions());
-        for (i, &position) in initial.positions().iter().enumerate() {
-            grid.insert(i, position);
-        }
+        let grid = DynamicGrid::from_points(grid_cell(visibility), initial.positions());
         Engine {
             states: RobotStates::new(initial.positions()),
             visibility,
@@ -427,8 +427,8 @@ where
     /// radii faithfully). Perception becomes directional: robot `i` sees `j`
     /// iff `|ij| ≤ radii[i]`.
     ///
-    /// The observation grid is re-celled to the largest radius (see
-    /// [`grid_cell`]) so every per-robot range query stays a few-cell probe.
+    /// The observation grid is re-celled to half the largest radius so
+    /// every per-robot range query stays a few-cell probe.
     ///
     /// # Panics
     ///
@@ -453,6 +453,20 @@ where
         }
     }
 
+    /// The mutually visible pairs `(i, j)`, `i < j`, among the indexed
+    /// (base) positions, in lexicographic order: `|ij| ≤ min(rᵢ, rⱼ)`.
+    /// Before the first event that is the initial edge set `E(0)`. One
+    /// scan of the observation grid at the largest radius, trimmed to each
+    /// pair's smaller one when radii differ.
+    pub(crate) fn visibility_pairs(&self) -> Vec<(usize, usize)> {
+        let mut pairs = self.grid.pairs_within(self.max_radius());
+        if let Some(radii) = &self.visibility_radii {
+            let pos = self.states.base_positions();
+            pairs.retain(|&(i, j)| pos[i].dist(pos[j]) <= radii[i].min(radii[j]));
+        }
+        pairs
+    }
+
     /// Rebuilds the observation grid from scratch (radius changes re-cell
     /// it). Exactly the stationary robots are indexed; the dense extent is
     /// re-anchored on the current positions.
@@ -460,13 +474,8 @@ where
         // Every robot indexes at its base position (= Move origin while
         // motile); the displacement high-water mark stays valid across the
         // re-cell.
-        let positions = self.states.base_positions();
-        let mut grid =
-            DynamicGrid::with_extent(self.states.len(), grid_cell(self.max_radius()), positions);
-        for (i, &position) in positions.iter().enumerate() {
-            grid.insert(i, position);
-        }
-        self.grid = grid;
+        self.grid =
+            DynamicGrid::from_points(grid_cell(self.max_radius()), self.states.base_positions());
     }
 
     /// The perception radius of one robot.
@@ -1122,6 +1131,18 @@ mod tests {
         assert_eq!(c.position(RobotId(0)), Vec2::ZERO);
         assert_eq!(c.position(RobotId(1)), Vec2::new(1.0, 0.0));
         assert!(engine.completed_cycles().iter().all(|&c| c >= 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "visibility radius must be positive and finite, got inf")]
+    fn infinite_visibility_is_rejected() {
+        let _ = Engine::new(
+            &two_robots(),
+            f64::INFINITY,
+            NilAlgorithm,
+            FSyncScheduler::new(),
+            1,
+        );
     }
 
     #[test]

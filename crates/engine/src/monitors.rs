@@ -199,8 +199,7 @@ impl<P: Ambient> Monitor<P> for CohesionMonitor {
 /// `O(|dirty| · n)`, and every candidate is judged by the historical
 /// comparisons. The constructor seeds the set from the initial positions
 /// (equivalently, the positions at the first event — nothing moves before
-/// it). A non-finite `V/2 + tol` acquires every pair (none, when NaN) and
-/// can never be violated.
+/// it) with one [`DynamicGrid::pairs_within`] scan.
 pub struct StrongVisibilityMonitor<P: Point = Vec2> {
     n: usize,
     /// Acquisition radius `V/2 + tol`.
@@ -211,8 +210,8 @@ pub struct StrongVisibilityMonitor<P: Point = Vec2> {
     /// bits `(a, b)` and `(b, a)`. Checkpoints carry the upper triangle.
     acquired: Vec<u64>,
     ok: bool,
-    /// The current positions, bucketed; `None` when `half` is not finite.
-    grid: Option<DynamicGrid<P>>,
+    /// The current positions, bucketed.
+    grid: DynamicGrid<P>,
     /// Pooled grid-query buffer.
     hits: Vec<usize>,
     pair_checks: u64,
@@ -222,41 +221,33 @@ impl<P: Point> StrongVisibilityMonitor<P> {
     /// Builds the monitor and seeds the acquired set from the initial
     /// positions. `V` is positive (as the builder asserts), so no distance
     /// both acquires a pair and violates it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `V/2 + tol` is not finite: the acquisition radius is
+    /// the cell edge of the monitor's grid.
     pub fn new(v: f64, tol: f64, initial_positions: &[P]) -> Self {
-        let n = initial_positions.len();
         let half = v / 2.0 + tol;
-        let mut monitor = StrongVisibilityMonitor {
+        assert!(
+            half.is_finite(),
+            "strong visibility needs a finite V/2 + tol, got V = {v}, tol = {tol}"
+        );
+        let n = initial_positions.len();
+        let grid = grid_at(half, initial_positions);
+        let mut acquired = vec![0u64; (n * n).div_ceil(64)];
+        for (a, b) in grid.pairs_within(half) {
+            insert_pair(&mut acquired, n, a, b);
+        }
+        StrongVisibilityMonitor {
             n,
             half,
             limit: v + tol,
-            acquired: vec![0u64; (n * n).div_ceil(64)],
+            acquired,
             ok: true,
-            grid: None,
+            grid,
             hits: Vec::new(),
             pair_checks: 0,
-        };
-        if half == f64::INFINITY {
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    insert_pair(&mut monitor.acquired, n, a, b);
-                }
-            }
         }
-        if !half.is_finite() {
-            return monitor;
-        }
-        monitor.rebuild_grid(initial_positions);
-        let mut hits = std::mem::take(&mut monitor.hits);
-        for (a, &p) in initial_positions.iter().enumerate() {
-            monitor.candidates(p, &mut hits);
-            for &b in &hits {
-                if b > a && p.dist(initial_positions[b]) <= half {
-                    insert_pair(&mut monitor.acquired, n, a, b);
-                }
-            }
-        }
-        monitor.hits = hits;
-        monitor
     }
 
     /// `true` while no acquired pair has been observed beyond `V`.
@@ -308,19 +299,8 @@ impl<P: Point> StrongVisibilityMonitor<P> {
             }
         }
         self.ok = ok;
-        if self.grid.is_some() {
-            self.rebuild_grid(positions);
-        }
+        self.grid = grid_at(self.half, positions);
         Ok(())
-    }
-
-    fn rebuild_grid(&mut self, positions: &[P]) {
-        let cell = if self.half > 0.0 { self.half } else { 1.0 };
-        let mut grid = DynamicGrid::with_extent(self.n, cell, positions);
-        for (i, &p) in positions.iter().enumerate() {
-            grid.insert(i, p);
-        }
-        self.grid = Some(grid);
     }
 
     /// Fills `hits` with every robot in the grid cells meeting the box
@@ -332,10 +312,15 @@ impl<P: Point> StrongVisibilityMonitor<P> {
     fn candidates(&self, p: P, hits: &mut Vec<usize>) {
         let pad = self.half * (1.0 + 8.0 * f64::EPSILON);
         hits.clear();
-        if let Some(grid) = &self.grid {
-            grid.query_segment_cells(p, p, pad, hits);
-        }
+        self.grid.query_segment_cells(p, p, pad, hits);
     }
+}
+
+/// The monitor's grid over `positions`, celled at the acquisition radius
+/// (a non-positive radius acquires only coincident robots, so any cell
+/// edge serves).
+fn grid_at<P: Point>(half: f64, positions: &[P]) -> DynamicGrid<P> {
+    DynamicGrid::from_points(if half > 0.0 { half } else { 1.0 }, positions)
 }
 
 /// Sets pair `{a, b}` in a symmetric row-major `n × n` bitset.
@@ -369,13 +354,10 @@ fn row_partners(bits: &[u64], n: usize, a: usize) -> impl Iterator<Item = usize>
 
 impl<P: Ambient> Monitor<P> for StrongVisibilityMonitor<P> {
     fn on_event(&mut self, ctx: &MonitorContext<'_, P>) {
-        let Some(grid) = self.grid.as_mut() else {
-            return;
-        };
         let positions = ctx.positions;
         for &a in ctx.dirty {
-            grid.remove(a);
-            grid.insert(a, positions[a]);
+            self.grid.remove(a);
+            self.grid.insert(a, positions[a]);
         }
         // A pair is visited once per event: a pair of two dirty robots from
         // its smaller endpoint.
@@ -620,6 +602,12 @@ mod tests {
         let mask = [false, true];
         m.on_event(&ctx(1.0, 1, &apart, &[1], &mask, NO_HULL));
         assert!(m.ok(), "0.9 > V/2: visibility was never acquired");
+    }
+
+    #[test]
+    #[should_panic(expected = "finite V/2 + tol, got V = inf")]
+    fn strong_visibility_rejects_infinite_v() {
+        let _ = StrongVisibilityMonitor::new(f64::INFINITY, 1e-9, &[Vec2::ZERO]);
     }
 
     #[test]

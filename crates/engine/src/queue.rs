@@ -19,7 +19,7 @@
 //! * asynchronous schedulers keep a **small, sliding window** of pending
 //!   events whose times advance with the simulation clock.
 //!
-//! [`CalendarQueue`] exploits both: events sharing a timestamp are batched
+//! `CalendarQueue` exploits both: events sharing a timestamp are batched
 //! into one *tick* holding a FIFO of events. Pushes happen in globally
 //! ascending `seq` order (the engine increments `seq` before every push), so
 //! within a tick the FIFO *is* the `(time, seq)` order and a same-timestamp

@@ -8,9 +8,7 @@ use crate::report::SimulationReport;
 use crate::session::Simulation;
 use cohesion_geometry::Vec2;
 use cohesion_model::frame::{Ambient, FrameMode};
-use cohesion_model::{
-    Algorithm, Budget, Configuration, MotionModel, PerceptionModel, VisibilityGraph,
-};
+use cohesion_model::{Algorithm, Budget, Configuration, MotionModel, PerceptionModel};
 use cohesion_scheduler::Scheduler;
 
 /// Configures one simulation. [`SimulationBuilder::build`] yields a
@@ -89,8 +87,15 @@ impl<P: Ambient> SimulationBuilder<P> {
     }
 
     /// Sets the visibility radius `V`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `v` is not positive and finite.
     pub fn visibility(mut self, v: f64) -> Self {
-        assert!(v > 0.0, "visibility must be positive");
+        assert!(
+            v > 0.0 && v.is_finite(),
+            "visibility must be positive and finite, got {v}"
+        );
         self.visibility = v;
         self
     }
@@ -234,30 +239,6 @@ impl<P: Ambient> SimulationBuilder<P> {
     /// of cloning a [`Configuration`] per event.
     pub fn build(self) -> Simulation<P> {
         let n = self.initial.len();
-        // Cohesion is judged on the mutual visibility graph: with a common
-        // radius that is the usual E(0); with per-robot radii, an edge needs
-        // distance ≤ min of the two radii (both endpoints see each other).
-        let initial_edges: Vec<(usize, usize)> = match &self.visibility_radii {
-            None => {
-                let g = VisibilityGraph::from_configuration(&self.initial, self.visibility);
-                g.edges()
-                    .iter()
-                    .map(|e| (e.a.index(), e.b.index()))
-                    .collect()
-            }
-            Some(radii) => {
-                let pos = self.initial.positions();
-                let mut edges = Vec::new();
-                for i in 0..n {
-                    for j in (i + 1)..n {
-                        if pos[i].dist(pos[j]) <= radii[i].min(radii[j]) {
-                            edges.push((i, j));
-                        }
-                    }
-                }
-                edges
-            }
-        };
         let initial_diameter = self.initial.diameter();
 
         let mut engine = Engine::new(
@@ -277,6 +258,10 @@ impl<P: Ambient> SimulationBuilder<P> {
         engine.set_occlusion(self.occlusion_tolerance);
         engine.set_look_path(self.look_path);
         engine.set_queue_path(self.queue_path);
+        // Cohesion is judged on the mutual visibility graph: with a common
+        // radius that is the usual E(0); with per-robot radii, an edge needs
+        // distance ≤ min of the two radii (both endpoints see each other).
+        let initial_edges = engine.visibility_pairs();
 
         let v = self.visibility;
         let cohesion_tol = 1e-9 * (1.0 + v);
@@ -350,6 +335,12 @@ mod tests {
 
     fn line(n: usize, spacing: f64) -> Configuration {
         Configuration::new((0..n).map(|i| Vec2::new(i as f64 * spacing, 0.0)).collect())
+    }
+
+    #[test]
+    #[should_panic(expected = "visibility must be positive and finite, got inf")]
+    fn infinite_visibility_is_rejected() {
+        let _ = SimulationBuilder::new(line(3, 0.9), NilAlgorithm).visibility(f64::INFINITY);
     }
 
     #[test]

@@ -1,34 +1,38 @@
-//! An incrementally-maintained uniform grid for point sets that change one
-//! point at a time.
+//! The workspace's one spatial index: a uniform grid over a point set that
+//! may change one point at a time.
 //!
-//! [`SpatialGrid`](crate::SpatialGrid) is built once over a frozen point set
-//! — perfect for visibility-graph construction, useless for the simulation
-//! engine, whose robot positions change at every `MoveEnd`. `DynamicGrid`
-//! supports O(1)-ish insert/remove of individual points while keeping the
-//! determinism contract of its static sibling: no hashing, no randomized
-//! iteration, each bucket holds point indices ascending, and probe
-//! traversal is cell-lexicographic — results are bit-for-bit reproducible
-//! across runs and platforms.
+//! Every "which points are within `r`" question goes through it: the
+//! visibility graph and the session's initial edge set
+//! ([`DynamicGrid::pairs_within`] over a grid built by
+//! [`DynamicGrid::from_points`]), the engine's Look phase, and the
+//! strong-visibility monitor, whose robot positions change at every
+//! `MoveEnd`. Insert and remove are O(1)-ish. Determinism is part of the
+//! contract: no hashing, no randomized iteration, each bucket holds point
+//! indices ascending, and probe traversal is cell-lexicographic — results
+//! are bit-for-bit reproducible across runs and platforms.
 //!
-//! Storage mirrors `SpatialGrid`'s two regimes, but mutable: cells inside a
-//! caller-declared *dense extent* (the padded bounding box of the expected
+//! Cells inside a *dense extent* (the padded bounding box of the expected
 //! working area, e.g. a swarm's initial configuration — which the paper's
 //! hull-diminishing dynamics never leave) are direct-addressed, so a probe
 //! is pure arithmetic over contiguous rows; stray points outside the extent
 //! spill into a sorted `BTreeMap` that is empty in the common case and
 //! checked only when non-empty.
 //!
-//! Unlike `SpatialGrid`, query methods **append** to the caller's buffer
-//! without clearing or sorting: the engine merges grid hits with its motile
-//! side-list and sorts the union once, so sorting here would be wasted
-//! work. Buckets emptied by [`DynamicGrid::remove`] keep their allocation —
-//! a robot oscillating between two cells re-enters warm buckets without
-//! touching the allocator, which is what makes the engine's per-event grid
-//! maintenance allocation-free in the steady state.
+//! Point queries **append** to the caller's buffer without clearing or
+//! sorting: the engine merges grid hits with its motile side-list and sorts
+//! the union once, so sorting here would be wasted work. Buckets emptied by
+//! [`DynamicGrid::remove`] keep their allocation — a robot oscillating
+//! between two cells re-enters warm buckets without touching the
+//! allocator, which is what makes the engine's per-event grid maintenance
+//! allocation-free in the steady state.
 
-use crate::grid::{cell_key, max_corner, min_corner, CellKey, KEY_AXES};
 use crate::point::Point;
 use std::collections::BTreeMap;
+
+/// Number of key axes carried per cell (2D keys pad the third axis with 0).
+const KEY_AXES: usize = 3;
+
+type CellKey = [i64; KEY_AXES];
 
 /// Direct addressing covers at most `max(DENSE_MIN_CELLS,
 /// DENSE_CELLS_PER_POINT · capacity)` cells; larger extents degrade
@@ -86,7 +90,7 @@ pub struct DynamicGrid<P: Point> {
 impl<P: Point> DynamicGrid<P> {
     /// An empty grid for indices `0..capacity` with the given cell edge and
     /// no dense extent (every cell lives in the sorted map). Prefer
-    /// [`DynamicGrid::with_extent`] when the working area is known.
+    /// [`DynamicGrid::from_points`] when the working area is known.
     ///
     /// # Panics
     ///
@@ -96,16 +100,26 @@ impl<P: Point> DynamicGrid<P> {
         Self::with_extent(capacity, cell, &[])
     }
 
-    /// An empty grid whose dense (direct-addressed) extent covers the
-    /// bounding box of `working_area`, padded by a few cells of slack.
-    /// Points may still be inserted anywhere — cells outside the extent
-    /// just take the slower sorted-map path. An oversized or empty working
-    /// area yields no dense extent at all.
+    /// A grid indexing `points[i]` at index `i`, whose dense
+    /// (direct-addressed) extent covers their bounding box padded by a few
+    /// cells of slack. Points may later move anywhere — cells outside the
+    /// extent just take the slower sorted-map path. An oversized point set
+    /// yields no dense extent at all.
     ///
     /// # Panics
     ///
     /// As for [`DynamicGrid::new`].
-    pub fn with_extent(capacity: usize, cell: f64, working_area: &[P]) -> Self {
+    pub fn from_points(cell: f64, points: &[P]) -> Self {
+        let mut grid = Self::with_extent(points.len(), cell, points);
+        for (i, &p) in points.iter().enumerate() {
+            grid.insert(i, p);
+        }
+        grid
+    }
+
+    /// An empty grid whose dense extent covers the padded bounding box of
+    /// `working_area`.
+    fn with_extent(capacity: usize, cell: f64, working_area: &[P]) -> Self {
         assert!(cell > 0.0 && cell.is_finite(), "cell edge must be positive");
         assert!(
             P::DIM <= KEY_AXES,
@@ -284,6 +298,48 @@ impl<P: Point> DynamicGrid<P> {
         self.for_each_in_key_box(lo, hi, |j, _| out.push(j));
     }
 
+    /// All present pairs `(i, j)` with `i < j` and `dist ≤ radius` (closed,
+    /// matching §2.1's visibility definition), in the exact lexicographic
+    /// order a brute-force double loop produces.
+    ///
+    /// Each point's candidates are the cells meeting the box `p ± pad`,
+    /// where `pad` exceeds `radius` by the worst relative rounding of a
+    /// computed distance: every point judged within `radius` of `p` lies
+    /// inside the box, and rounding is monotone, so the box corners' cell
+    /// keys bracket the keys of every point inside it, at any coordinate
+    /// magnitude and any cell edge. A pair is measured only from its
+    /// smaller endpoint, and each point's handful of partners is sorted in
+    /// a scratch buffer — no global sort.
+    ///
+    /// ```
+    /// use cohesion_geometry::{DynamicGrid, Vec2};
+    /// let pts = [Vec2::new(0.0, 0.0), Vec2::new(3.0, 0.0), Vec2::new(1.0, 0.0)];
+    /// let grid = DynamicGrid::from_points(1.0, &pts);
+    /// assert_eq!(grid.pairs_within(1.0), vec![(0, 2)]);
+    /// assert_eq!(grid.pairs_within(2.0), vec![(0, 2), (1, 2)]);
+    /// ```
+    pub fn pairs_within(&self, radius: f64) -> Vec<(usize, usize)> {
+        let pad = radius * (1.0 + 8.0 * f64::EPSILON);
+        let mut pairs = Vec::new();
+        let mut partners = Vec::new();
+        for (i, entry) in self.entries.iter().enumerate() {
+            let Some((_, p)) = *entry else {
+                continue;
+            };
+            let lo = cell_key(min_corner(p, p, pad), self.cell);
+            let hi = cell_key(max_corner(p, p, pad), self.cell);
+            partners.clear();
+            self.for_each_in_key_box(lo, hi, |j, q| {
+                if j > i && p.dist(q) <= radius {
+                    partners.push(j);
+                }
+            });
+            partners.sort_unstable();
+            pairs.extend(partners.iter().map(|&j| (i, j)));
+        }
+        pairs
+    }
+
     /// Visits `(index, position)` of every present point in the inclusive
     /// key box `lo..=hi`: dense rows first (contiguous bucket runs — in 2D
     /// a whole `y` span of cells is one slice scan), then — only when any
@@ -387,13 +443,55 @@ fn dense_extent<P: Point>(
     (min, dims, cells as usize)
 }
 
+/// The integer cell containing `p` at the given edge length. Coordinates on
+/// a cell boundary land in the higher cell (`floor` semantics).
+fn cell_key<P: Point>(p: P, cell: f64) -> CellKey {
+    let mut key = [0i64; KEY_AXES];
+    for (axis, slot) in key.iter_mut().enumerate().take(P::DIM) {
+        *slot = (p.coord(axis) / cell).floor() as i64;
+    }
+    key
+}
+
+/// Componentwise minimum of `a` and `b`, shifted down by `pad` on every axis
+/// (the low corner of a segment's padded bounding box).
+fn min_corner<P: Point>(a: P, b: P, pad: f64) -> P {
+    let mut coords = [0.0f64; KEY_AXES];
+    for (axis, c) in coords.iter_mut().enumerate().take(P::DIM) {
+        *c = a.coord(axis).min(b.coord(axis)) - pad;
+    }
+    P::from_coords(&coords[..P::DIM])
+}
+
+/// Componentwise maximum of `a` and `b`, shifted up by `pad` on every axis
+/// (the high corner of a segment's padded bounding box).
+fn max_corner<P: Point>(a: P, b: P, pad: f64) -> P {
+    let mut coords = [0.0f64; KEY_AXES];
+    for (axis, c) in coords.iter_mut().enumerate().take(P::DIM) {
+        *c = a.coord(axis).max(b.coord(axis)) + pad;
+    }
+    P::from_coords(&coords[..P::DIM])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vec2::Vec2;
     use crate::vec3::Vec3;
 
-    use crate::test_util::cloud;
+    /// Deterministic LCG cloud (no dependency on the rand stub here).
+    fn cloud(n: usize, span: f64, seed: u64) -> Vec<Vec2> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        (0..n)
+            .map(|_| Vec2::new(next() * span, next() * span))
+            .collect()
+    }
 
     fn brute_within(pts: &[Option<Vec2>], q: Vec2, radius: f64) -> Vec<usize> {
         (0..pts.len())
@@ -493,11 +591,8 @@ mod tests {
     #[test]
     fn query_radius_larger_than_cell() {
         let pts = cloud(60, 5.0, 8);
-        let mut grid = DynamicGrid::with_extent(pts.len(), 0.5, &pts);
+        let grid = DynamicGrid::from_points(0.5, &pts);
         let present: Vec<Option<Vec2>> = pts.iter().map(|&p| Some(p)).collect();
-        for (i, &p) in pts.iter().enumerate() {
-            grid.insert(i, p);
-        }
         let mut out = Vec::new();
         grid.query_within(Vec2::new(2.5, 2.5), 1.7, &mut out);
         out.sort_unstable();
@@ -507,16 +602,13 @@ mod tests {
     #[test]
     fn segment_cells_cover_all_near_segment_points() {
         let pts = cloud(100, 6.0, 13);
-        let mut grid = DynamicGrid::with_extent(pts.len(), 1.0, &pts);
-        for (i, &p) in pts.iter().enumerate() {
-            grid.insert(i, p);
-        }
+        let grid = DynamicGrid::from_points(1.0, &pts);
         let (a, b, pad) = (Vec2::new(1.0, 1.0), Vec2::new(4.0, 3.0), 0.25);
         let mut out = Vec::new();
         grid.query_segment_cells(a, b, pad, &mut out);
         // The coarse cell walk must be a superset of the exact hit set.
         for (j, &p) in pts.iter().enumerate() {
-            if crate::grid::dist_sq_to_segment(p, a, b) <= pad * pad {
+            if crate::Segment::new(a, b).dist_to_point(p) <= pad {
                 assert!(out.contains(&j), "point {j} near segment missed");
             }
         }
@@ -566,10 +658,7 @@ mod tests {
                 Vec3::new((f * 0.37).sin() * 3.0, (f * 0.61).cos() * 3.0, f * 0.11)
             })
             .collect();
-        let mut grid = DynamicGrid::with_extent(pts.len(), 0.9, &pts);
-        for (i, &p) in pts.iter().enumerate() {
-            grid.insert(i, p);
-        }
+        let grid = DynamicGrid::from_points(0.9, &pts);
         let q = Vec3::new(0.0, 0.0, 2.0);
         let mut out = Vec::new();
         grid.query_within(q, 1.5, &mut out);
@@ -578,6 +667,136 @@ mod tests {
             .filter(|&j| (pts[j] - q).norm() <= 1.5)
             .collect();
         assert_eq!(out, brute);
+    }
+
+    fn brute_pairs<P: Point>(pts: &[P], radius: f64) -> Vec<(usize, usize)> {
+        let mut pairs = Vec::new();
+        for i in 0..pts.len() {
+            for j in (i + 1)..pts.len() {
+                if pts[i].dist(pts[j]) <= radius {
+                    pairs.push((i, j));
+                }
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn from_points_matches_with_extent_and_insert() {
+        let pts = cloud(90, 6.0, 17);
+        let built = DynamicGrid::from_points(0.7, &pts);
+        let mut manual = DynamicGrid::with_extent(pts.len(), 0.7, &pts);
+        for (i, &p) in pts.iter().enumerate() {
+            manual.insert(i, p);
+        }
+        assert_eq!(built.len(), manual.len());
+        for i in 0..pts.len() {
+            assert_eq!(built.contains(i), manual.contains(i));
+            assert_eq!(built.position(i), manual.position(i));
+        }
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for (q, r) in [(Vec2::new(3.0, 3.0), 1.2), (Vec2::new(-0.5, 6.2), 0.9)] {
+            a.clear();
+            b.clear();
+            built.query_within(q, r, &mut a);
+            manual.query_within(q, r, &mut b);
+            assert_eq!(a, b, "q={q} r={r}");
+        }
+        assert_eq!(built.pairs_within(1.0), manual.pairs_within(1.0));
+    }
+
+    #[test]
+    fn pairs_match_brute_force_on_random_clouds() {
+        // Radii below, at and above the cell edge: the candidate box must
+        // stay exhaustive whatever the grid was built at.
+        for (n, span, cell, radius) in [
+            (1usize, 1.0, 1.0, 1.0),
+            (7, 2.0, 0.8, 0.8),
+            (64, 6.0, 1.0, 1.0),
+            (80, 8.0, 0.5, 1.7),
+            (200, 10.0, 1.3, 0.6),
+        ] {
+            let pts = cloud(n, span, n as u64);
+            let grid = DynamicGrid::from_points(cell, &pts);
+            assert_eq!(
+                grid.pairs_within(radius),
+                brute_pairs(&pts, radius),
+                "n={n} span={span} cell={cell} radius={radius}"
+            );
+        }
+    }
+
+    #[test]
+    fn pairs_at_exactly_the_radius_count() {
+        // Closed predicate: |ij| == radius is a pair, including across cell
+        // boundaries and for coincident points at radius 0; anything
+        // measurably beyond is not.
+        let pts = [
+            Vec2::new(0.0, 0.0),
+            Vec2::new(1.0, 0.0),
+            Vec2::new(2.0, 0.0),
+            Vec2::new(2.0, 1.0 + 1e-9),
+            Vec2::new(2.0, 0.0),
+        ];
+        let grid = DynamicGrid::from_points(1.0, &pts);
+        assert_eq!(grid.pairs_within(1.0), vec![(0, 1), (1, 2), (1, 4), (2, 4)]);
+        assert_eq!(grid.pairs_within(0.0), vec![(2, 4)]);
+        assert!(DynamicGrid::<Vec2>::from_points(1.0, &[])
+            .pairs_within(1.0)
+            .is_empty());
+    }
+
+    #[test]
+    fn pairs_skip_absent_points_and_reach_outliers() {
+        // Robots removed from the grid pair with no one; robots moved off
+        // the dense extent still pair with each other.
+        let pts = cloud(60, 5.0, 23);
+        let mut grid = DynamicGrid::from_points(1.0, &pts);
+        let mut current: Vec<Option<Vec2>> = pts.iter().map(|&p| Some(p)).collect();
+        for i in (0..pts.len()).step_by(4) {
+            grid.remove(i);
+            current[i] = None;
+        }
+        for i in (1..pts.len()).step_by(4) {
+            let far = pts[i] + Vec2::new(900.0, -300.0);
+            grid.remove(i);
+            grid.insert(i, far);
+            current[i] = Some(far);
+        }
+        let brute: Vec<(usize, usize)> = brute_pairs(
+            &current
+                .iter()
+                .map(|p| p.unwrap_or(Vec2::new(f64::NAN, f64::NAN)))
+                .collect::<Vec<_>>(),
+            1.0,
+        );
+        assert!(brute.iter().any(|&(i, j)| i % 4 == 1 && j % 4 == 1));
+        assert_eq!(grid.pairs_within(1.0), brute);
+    }
+
+    #[test]
+    fn pairs_in_three_dimensions_and_without_extent() {
+        let pts: Vec<Vec3> = (0..40)
+            .map(|i| {
+                let f = i as f64;
+                Vec3::new((f * 0.37).sin() * 3.0, (f * 0.61).cos() * 3.0, f * 0.11)
+            })
+            .collect();
+        assert_eq!(
+            DynamicGrid::from_points(0.9, &pts).pairs_within(0.9),
+            brute_pairs(&pts, 0.9)
+        );
+        // Two clusters ~1e9 cells apart blow the extent budget: every cell
+        // lives in the sorted map, with identical pairs.
+        let mut far = cloud(40, 3.0, 9);
+        far.extend(
+            cloud(40, 3.0, 10)
+                .into_iter()
+                .map(|p| p + Vec2::new(1e9, 1e9)),
+        );
+        let grid = DynamicGrid::from_points(1.0, &far);
+        assert!(grid.dense.is_empty());
+        assert_eq!(grid.pairs_within(1.0), brute_pairs(&far, 1.0));
     }
 
     #[test]

@@ -53,7 +53,6 @@ pub mod circle;
 pub mod cone;
 pub mod diameter;
 pub mod dynamic_grid;
-pub mod grid;
 pub mod hull;
 pub mod point;
 pub mod predicates;
@@ -65,7 +64,6 @@ pub use ball::Ball;
 pub use bbox::Aabb;
 pub use circle::Circle;
 pub use dynamic_grid::DynamicGrid;
-pub use grid::SpatialGrid;
 pub use hull::ConvexHull;
 pub use point::Point;
 pub use segment::Segment;
@@ -90,27 +88,6 @@ pub const EPS: f64 = 1e-9;
 #[inline]
 pub fn approx_eq(a: f64, b: f64, eps: f64) -> bool {
     (a - b).abs() <= eps
-}
-
-/// Shared fixtures for the crate's unit tests (kept out of the public API).
-#[cfg(test)]
-pub(crate) mod test_util {
-    use crate::vec2::Vec2;
-
-    /// Deterministic LCG cloud (no dependency on the rand stub here) —
-    /// the common brute-force-comparison fixture of both grid modules.
-    pub(crate) fn cloud(n: usize, span: f64, seed: u64) -> Vec<Vec2> {
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        (0..n)
-            .map(|_| Vec2::new(next() * span, next() * span))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -92,7 +92,7 @@ pub trait Point:
     fn coords(self) -> Vec<f64>;
 
     /// One coordinate by axis index, without allocating (the hot-path
-    /// counterpart of [`Point::coords`], used by the spatial grids to key
+    /// counterpart of [`Point::coords`], used by the spatial grid to key
     /// cells inside the engine event loop).
     ///
     /// # Panics

@@ -5,7 +5,7 @@ use cohesion_geometry::ball::{smallest_enclosing_ball, smallest_enclosing_ball_b
 use cohesion_geometry::cone::{sector_2d, SectorAnalysis};
 use cohesion_geometry::hull::convex_hull;
 use cohesion_geometry::point::Point as _;
-use cohesion_geometry::{Aabb, Circle, Segment, SpatialGrid, Vec2, Vec3};
+use cohesion_geometry::{Aabb, Circle, DynamicGrid, Segment, Vec2, Vec3};
 use proptest::prelude::*;
 
 fn vec2(range: f64) -> impl Strategy<Value = Vec2> {
@@ -14,6 +14,19 @@ fn vec2(range: f64) -> impl Strategy<Value = Vec2> {
 
 fn vec3(range: f64) -> impl Strategy<Value = Vec3> {
     (-range..range, -range..range, -range..range).prop_map(|(x, y, z)| Vec3::new(x, y, z))
+}
+
+/// Every `(i, j)`, `i < j`, within `radius` — the reference pair scan.
+fn brute_pairs(pts: &[Vec2], radius: f64) -> Vec<(usize, usize)> {
+    let mut pairs = Vec::new();
+    for i in 0..pts.len() {
+        for j in (i + 1)..pts.len() {
+            if pts[i].dist(pts[j]) <= radius {
+                pairs.push((i, j));
+            }
+        }
+    }
+    pairs
 }
 
 proptest! {
@@ -161,34 +174,44 @@ proptest! {
     }
 
     #[test]
-    fn spatial_grid_pairs_match_brute_force(
+    fn dynamic_grid_pairs_match_brute_force(
         pts in proptest::collection::vec(vec2(6.0), 0..90),
         cell in 0.2..2.0f64,
         radius in 0.0..2.5f64,
     ) {
         // The grid may be built at any positive cell edge, not just the
         // query radius — candidate enumeration must stay exhaustive.
-        let grid = SpatialGrid::build(&pts, cell);
-        let mut brute = Vec::new();
-        for i in 0..pts.len() {
-            for j in (i + 1)..pts.len() {
-                if pts[i].dist(pts[j]) <= radius {
-                    brute.push((i, j));
-                }
-            }
-        }
-        prop_assert_eq!(grid.pairs_within(radius), brute);
+        let grid = DynamicGrid::from_points(cell, &pts);
+        prop_assert_eq!(grid.pairs_within(radius), brute_pairs(&pts, radius));
     }
 
     #[test]
-    fn spatial_grid_probe_query_matches_brute_force(
+    fn dynamic_grid_pairs_match_brute_force_far_from_origin(
+        pts in proptest::collection::vec(vec2(3.0), 0..60),
+        shift in 0usize..3,
+        cell in 0.2..2.0f64,
+        radius in 0.0..1.5f64,
+    ) {
+        // V = 1 at 2^20, 2^30 and 2^40 · V from the origin, where one ulp
+        // of a coordinate is up to 2^-12 · V and cell keys are rounded
+        // quotients: the candidate cells must still cover every pair the
+        // closed predicate accepts.
+        let offset = [2f64.powi(20), 2f64.powi(30), 2f64.powi(40)][shift];
+        let far: Vec<Vec2> = pts.iter().map(|&p| p + Vec2::new(offset, -offset)).collect();
+        let grid = DynamicGrid::from_points(cell, &far);
+        prop_assert_eq!(grid.pairs_within(radius), brute_pairs(&far, radius));
+    }
+
+    #[test]
+    fn dynamic_grid_probe_query_matches_brute_force(
         pts in proptest::collection::vec(vec2(6.0), 1..60),
         probe in vec2(8.0),
         radius in 0.0..3.0f64,
     ) {
-        let grid = SpatialGrid::build(&pts, 1.0);
+        let grid = DynamicGrid::from_points(1.0, &pts);
         let mut out = Vec::new();
         grid.query_within(probe, radius, &mut out);
+        out.sort_unstable();
         let brute: Vec<usize> = (0..pts.len())
             .filter(|&j| probe.dist(pts[j]) <= radius)
             .collect();

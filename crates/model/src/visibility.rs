@@ -3,7 +3,7 @@
 //!
 //! The graph is stored CSR-style: a sorted edge list plus per-vertex
 //! adjacency slices. Construction from a configuration goes through the
-//! [`SpatialGrid`] for near-linear cost on bounded-density clouds, with the
+//! [`DynamicGrid`] for near-linear cost on bounded-density clouds, with the
 //! brute-force quadratic builder kept as the reference implementation (and
 //! the fast path for tiny clouds, where the grid's indexing overhead is not
 //! worth paying). Both builders produce byte-identical graphs: edges sorted
@@ -12,8 +12,8 @@
 
 use crate::configuration::Configuration;
 use crate::ids::{RobotId, RobotPair};
-use cohesion_geometry::grid::SpatialGrid;
 use cohesion_geometry::point::Point;
+use cohesion_geometry::DynamicGrid;
 use serde::{Deserialize, Serialize};
 
 /// Below this robot count, [`VisibilityGraph::from_configuration`] uses the
@@ -47,8 +47,8 @@ impl VisibilityGraph {
     /// Builds the visibility graph of a configuration with common visibility
     /// radius `radius` (closed: distance exactly `radius` counts, §2.1).
     ///
-    /// Dispatches to the grid-backed builder for clouds of at least
-    /// [`GRID_THRESHOLD`] robots (near-linear for bounded density) and to the
+    /// Dispatches to the grid-backed builder for clouds of at least 32
+    /// robots (near-linear for bounded density) and to the
     /// quadratic reference builder otherwise; the two are equivalent.
     pub fn from_configuration<P: Point>(config: &Configuration<P>, radius: f64) -> Self {
         assert!(radius >= 0.0, "visibility radius must be non-negative");
@@ -75,9 +75,9 @@ impl VisibilityGraph {
         Self::from_sorted_pairs(pos.len(), pairs)
     }
 
-    /// The grid-backed builder: indexes the cloud on a [`SpatialGrid`] with
+    /// The grid-backed builder: indexes the cloud on a [`DynamicGrid`] with
     /// cell edge `radius`, then answers each robot's neighbour query from the
-    /// `3^DIM` surrounding cells. `O(n · density)` instead of `O(n²)`.
+    /// few surrounding cells. `O(n · density)` instead of `O(n²)`.
     ///
     /// # Panics
     ///
@@ -85,8 +85,7 @@ impl VisibilityGraph {
     /// edge; use the brute builder for the degenerate `radius == 0` case).
     pub fn from_configuration_grid<P: Point>(config: &Configuration<P>, radius: f64) -> Self {
         let pos = config.positions();
-        let grid = SpatialGrid::build(pos, radius);
-        let pairs: Vec<RobotPair> = grid
+        let pairs: Vec<RobotPair> = DynamicGrid::from_points(radius, pos)
             .pairs_within(radius)
             .into_iter()
             .map(|(i, j)| RobotPair::new(RobotId::from(i), RobotId::from(j)))
