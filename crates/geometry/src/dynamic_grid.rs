@@ -713,7 +713,6 @@ mod tests {
             (1usize, 1.0, 1.0, 1.0),
             (7, 2.0, 0.8, 0.8),
             (64, 6.0, 1.0, 1.0),
-            (80, 8.0, 0.5, 1.7),
             (200, 10.0, 1.3, 0.6),
         ] {
             let pts = cloud(n, span, n as u64);
@@ -727,23 +726,38 @@ mod tests {
     }
 
     #[test]
+    fn pairs_with_radius_larger_than_cell() {
+        let pts = cloud(80, 8.0, 3);
+        let grid = DynamicGrid::from_points(0.5, &pts);
+        assert_eq!(grid.pairs_within(1.7), brute_pairs(&pts, 1.7));
+    }
+
+    #[test]
     fn pairs_at_exactly_the_radius_count() {
         // Closed predicate: |ij| == radius is a pair, including across cell
-        // boundaries and for coincident points at radius 0; anything
-        // measurably beyond is not.
+        // boundaries; anything measurably beyond is not.
         let pts = [
             Vec2::new(0.0, 0.0),
             Vec2::new(1.0, 0.0),
             Vec2::new(2.0, 0.0),
             Vec2::new(2.0, 1.0 + 1e-9),
-            Vec2::new(2.0, 0.0),
         ];
         let grid = DynamicGrid::from_points(1.0, &pts);
-        assert_eq!(grid.pairs_within(1.0), vec![(0, 1), (1, 2), (1, 4), (2, 4)]);
-        assert_eq!(grid.pairs_within(0.0), vec![(2, 4)]);
-        assert!(DynamicGrid::<Vec2>::from_points(1.0, &[])
-            .pairs_within(1.0)
-            .is_empty());
+        assert_eq!(grid.pairs_within(1.0), vec![(0, 1), (1, 2)]);
+    }
+
+    #[test]
+    fn coincident_points_pair_at_radius_zero() {
+        let pts = [Vec2::new(1.0, 1.0), Vec2::new(1.0, 1.0)];
+        let grid = DynamicGrid::from_points(1.0, &pts);
+        assert_eq!(grid.pairs_within(0.0), vec![(0, 1)]);
+    }
+
+    #[test]
+    fn empty_grid_has_no_pairs() {
+        let grid = DynamicGrid::<Vec2>::from_points(1.0, &[]);
+        assert!(grid.is_empty());
+        assert!(grid.pairs_within(1.0).is_empty());
     }
 
     #[test]
@@ -775,7 +789,7 @@ mod tests {
     }
 
     #[test]
-    fn pairs_in_three_dimensions_and_without_extent() {
+    fn pairs_in_three_dimensions() {
         let pts: Vec<Vec3> = (0..40)
             .map(|i| {
                 let f = i as f64;
@@ -786,17 +800,26 @@ mod tests {
             DynamicGrid::from_points(0.9, &pts).pairs_within(0.9),
             brute_pairs(&pts, 0.9)
         );
+    }
+
+    #[test]
+    fn far_flung_cloud_pairs_without_extent() {
         // Two clusters ~1e9 cells apart blow the extent budget: every cell
-        // lives in the sorted map, with identical pairs.
-        let mut far = cloud(40, 3.0, 9);
-        far.extend(
+        // lives in the sorted map, with identical pairs and queries.
+        let mut pts = cloud(40, 3.0, 9);
+        pts.extend(
             cloud(40, 3.0, 10)
                 .into_iter()
                 .map(|p| p + Vec2::new(1e9, 1e9)),
         );
-        let grid = DynamicGrid::from_points(1.0, &far);
+        let grid = DynamicGrid::from_points(1.0, &pts);
         assert!(grid.dense.is_empty());
-        assert_eq!(grid.pairs_within(1.0), brute_pairs(&far, 1.0));
+        assert_eq!(grid.pairs_within(1.0), brute_pairs(&pts, 1.0));
+        let present: Vec<Option<Vec2>> = pts.iter().map(|&p| Some(p)).collect();
+        let mut out = Vec::new();
+        grid.query_within(Vec2::new(1e9, 1e9), 2.0, &mut out);
+        out.sort_unstable();
+        assert_eq!(out, brute_within(&present, Vec2::new(1e9, 1e9), 2.0));
     }
 
     #[test]
