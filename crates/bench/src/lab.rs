@@ -536,6 +536,22 @@ impl Shard {
     pub fn checkpoint_file_name(self, stem: &str) -> String {
         format!("{stem}.shard{}of{}.ckpt", self.index, self.count)
     }
+
+    /// The `(index, count)` a shard file name encodes — the inverse of
+    /// [`Shard::file_name`] (`suffix` `.jsonl`) and
+    /// [`Shard::checkpoint_file_name`] (`.ckpt`). `None` unless `name` is
+    /// `<stem>.shard<I>of<M><suffix>` with integer `I` and `M`. The pair is
+    /// not range-checked, so a stray out-of-range file still surfaces in a
+    /// merge's error rather than being skipped.
+    #[must_use]
+    pub fn parse_file_name(name: &str, stem: &str, suffix: &str) -> Option<(usize, usize)> {
+        let rest = name
+            .strip_prefix(stem)?
+            .strip_prefix(".shard")?
+            .strip_suffix(suffix)?;
+        let (index, count) = rest.split_once("of")?;
+        Some((index.parse().ok()?, count.parse().ok()?))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -815,29 +831,21 @@ pub fn run_experiment(exp: &dyn Experiment, opts: &LabOptions) -> Result<RunSumm
 pub fn merge_shards(stem: &str, dir: &Path) -> Result<PathBuf, String> {
     let entries = std::fs::read_dir(dir).map_err(|e| format!("read {}: {e}", dir.display()))?;
     // Collect (index, count, path) for names matching the shard pattern.
-    let prefix = format!("{stem}.shard");
     let mut shards: Vec<(usize, usize, PathBuf)> = Vec::new();
     for entry in entries {
         let entry = entry.map_err(|e| format!("read {}: {e}", dir.display()))?;
         let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(rest) = name
-            .strip_prefix(&prefix)
-            .and_then(|r| r.strip_suffix(".jsonl"))
+        let Some((i, m)) = name
+            .to_str()
+            .and_then(|name| Shard::parse_file_name(name, stem, ".jsonl"))
         else {
-            continue;
-        };
-        let Some((i, m)) = rest.split_once("of") else {
-            continue;
-        };
-        let (Ok(i), Ok(m)) = (i.parse::<usize>(), m.parse::<usize>()) else {
             continue;
         };
         shards.push((i, m, entry.path()));
     }
     if shards.is_empty() {
         return Err(format!(
-            "no shard files matching {prefix}<I>of<M>.jsonl in {}",
+            "no shard files matching {stem}.shard<I>of<M>.jsonl in {}",
             dir.display()
         ));
     }
@@ -911,8 +919,8 @@ usage:
 
 options:
   --quick          shrunken CI smoke grids (default: full reproduction)
-  --threads N      sweep threads of run/all (default: COHESION_SWEEP_THREADS or
-                   all cores); lab worker takes none — size fleets with --shards
+  --threads N      sweep threads of run/all (default: all cores); lab worker
+                   takes none — size fleets with --shards
   --out DIR        output directory (default: target/experiments)
   --shard I/M      run only the I-th of M contiguous grid chunks; outputs to
                    <stem>.shardIofM.jsonl — concatenating shards 0..M in order
@@ -1273,6 +1281,51 @@ mod tests {
         assert!(
             err.contains("0..=1"),
             "error should name the valid range: {err}"
+        );
+    }
+
+    #[test]
+    fn shard_file_names_parse_back() {
+        let shard = Shard { index: 3, count: 8 };
+        let rows = shard.file_name("t4_k_scaling");
+        let ckpt = shard.checkpoint_file_name("t4_k_scaling");
+        assert_eq!(
+            Shard::parse_file_name(&rows, "t4_k_scaling", ".jsonl"),
+            Some((3, 8))
+        );
+        assert_eq!(
+            Shard::parse_file_name(&ckpt, "t4_k_scaling", ".ckpt"),
+            Some((3, 8))
+        );
+        assert_eq!(
+            Shard::parse_file_name(&format!("{ckpt}.tmp"), "t4_k_scaling", ".ckpt.tmp"),
+            Some((3, 8))
+        );
+        // Only the exact suffix matches: a torn `.ckpt.tmp` is not a `.ckpt`,
+        // and the progress sidecar is not a row file.
+        assert_eq!(
+            Shard::parse_file_name(&format!("{ckpt}.tmp"), "t4_k_scaling", ".ckpt"),
+            None
+        );
+        let sidecar = "t4_k_scaling.shard3of8.progress.jsonl";
+        assert_eq!(
+            Shard::parse_file_name(sidecar, "t4_k_scaling", ".jsonl"),
+            None
+        );
+        // Malformed indices, other stems and unsharded outputs never match.
+        for name in [
+            "t4_k_scaling.shardXof8.jsonl",
+            "t4_k_scaling.shard3of.jsonl",
+            "t4_k_scaling.shard3-8.jsonl",
+            "t4_k_scaling.jsonl",
+            "t4_k.shard3of8.jsonl",
+        ] {
+            assert_eq!(Shard::parse_file_name(name, "t4_k_scaling", ".jsonl"), None);
+        }
+        // Out-of-range pairs still parse, so a merge can name them.
+        assert_eq!(
+            Shard::parse_file_name("t4_k_scaling.shard5of3.jsonl", "t4_k_scaling", ".jsonl"),
+            Some((5, 3))
         );
     }
 

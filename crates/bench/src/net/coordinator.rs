@@ -260,16 +260,9 @@ fn remove_stale_shard_files(opts: &ServeOptions) -> Result<(), String> {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
         let stale = opts.experiments.iter().any(|exp| {
-            let Some(rest) = name.strip_prefix(&format!("{}.shard", exp.output_stem())) else {
-                return false;
-            };
-            [".jsonl", ".ckpt", ".ckpt.tmp"].iter().any(|suffix| {
-                rest.strip_suffix(suffix).is_some_and(|r| {
-                    r.split_once("of").is_some_and(|(i, m)| {
-                        i.parse::<usize>().is_ok() && m.parse::<usize>().is_ok()
-                    })
-                })
-            })
+            [".jsonl", ".ckpt", ".ckpt.tmp"]
+                .iter()
+                .any(|suffix| Shard::parse_file_name(name, exp.output_stem(), suffix).is_some())
         });
         if stale {
             std::fs::remove_file(entry.path())

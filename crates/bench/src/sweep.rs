@@ -15,9 +15,9 @@
 //!
 //! Each simulation is already deterministic in its seed; the runner adds no
 //! nondeterminism because work items never share mutable state and ordering
-//! is re-imposed at merge time. `COHESION_SWEEP_THREADS` overrides the
-//! thread count (set it to `1` to reproduce a serial run exactly — the
-//! outputs will match regardless, which `tests/sweep.rs` asserts).
+//! is re-imposed at merge time. [`SweepRunner::with_threads`] (the `lab
+//! --threads N` option) sets the thread count; a serial run's outputs match
+//! any other count's, which `tests/sweep.rs` asserts.
 
 use cohesion_algorithms::{AndoAlgorithm, CogAlgorithm, GcmAlgorithm, KatreniakAlgorithm};
 use cohesion_core::KirkpatrickAlgorithm;
@@ -534,18 +534,12 @@ pub struct SweepRunner {
 }
 
 impl SweepRunner {
-    /// A runner sized to the machine: `COHESION_SWEEP_THREADS` when set,
-    /// otherwise the available parallelism (1 when unknown).
+    /// A runner sized to the machine: the available parallelism (1 when
+    /// unknown).
     pub fn new() -> Self {
-        let threads = std::env::var("COHESION_SWEEP_THREADS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            });
+        let threads = std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1);
         SweepRunner { threads }
     }
 

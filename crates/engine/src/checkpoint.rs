@@ -37,20 +37,23 @@
 //!
 //! # Decoding
 //!
-//! The state payload is decoded by derived `Deserialize` impls on the
-//! `*Repr`/`*State` shapes below, so the types carry the shape checks
-//! (field presence, exactly-one-key tagged enums, `rng` has 4 words,
-//! `u32` robot indices, whole round indices, well-ordered activation
-//! intervals). The semantic checks that need the session live in the repr
-//! conversions and in `Simulation::restore`: coordinate counts equal
-//! `P::DIM`, only Move phases are queued, and no violation pairs a robot
-//! with itself.
+//! The state payload is decoded by derived `Deserialize` impls, so the
+//! types carry the shape checks (field presence, exactly-one-key tagged
+//! enums, `rng` has 4 words, `u32` robot indices, whole round indices,
+//! well-ordered activation intervals). Queued events, the session status
+//! and the scheduler's state are the live types themselves (`Pending`,
+//! [`SessionStatus`], [`SchedulerState`]); only robot states and
+//! violations go through the `*Repr` shapes below, which flatten points to
+//! coordinate arrays and robot ids to indices. The semantic checks that
+//! need the session live in those repr conversions and in
+//! `Simulation::restore`: coordinate counts equal `P::DIM`, only Move
+//! phases are queued, and no violation pairs a robot with itself.
 //!
 //! [`Simulation`]: crate::session::Simulation
 
-use crate::engine::EngineEventKind;
 use crate::queue::Pending;
 use crate::report::CohesionViolation;
+use crate::session::SessionStatus;
 use crate::state::RobotState;
 use cohesion_geometry::point::Point;
 use cohesion_model::{RobotId, RobotPair};
@@ -256,49 +259,6 @@ impl RobotStateRepr {
     }
 }
 
-/// One pending phase event, in the queue's pop order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct PendingRepr {
-    pub(crate) time: f64,
-    pub(crate) seq: u64,
-    pub(crate) robot: u32,
-    pub(crate) kind: String,
-}
-
-impl PendingRepr {
-    pub(crate) fn of(p: &Pending) -> Self {
-        PendingRepr {
-            time: p.time,
-            seq: p.seq,
-            robot: p.robot.0,
-            kind: match p.kind {
-                EngineEventKind::Look => "Look",
-                EngineEventKind::MoveStart => "MoveStart",
-                EngineEventKind::MoveEnd => "MoveEnd",
-            }
-            .to_string(),
-        }
-    }
-
-    pub(crate) fn to_pending(&self) -> Result<Pending, String> {
-        let kind = match self.kind.as_str() {
-            "MoveStart" => EngineEventKind::MoveStart,
-            "MoveEnd" => EngineEventKind::MoveEnd,
-            other => {
-                return Err(format!(
-                    "checkpoint queue holds a '{other}' event (only Move phases are queued)"
-                ))
-            }
-        };
-        Ok(Pending {
-            time: self.time,
-            seq: self.seq,
-            robot: RobotId(self.robot),
-            kind,
-        })
-    }
-}
-
 /// The engine's mutable core.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct EngineState {
@@ -307,7 +267,7 @@ pub(crate) struct EngineState {
     pub(crate) rng: [u64; 4],
     pub(crate) robots: Vec<RobotStateRepr>,
     /// Pending events in pop order (ascending `(time, seq)`).
-    pub(crate) queue: Vec<PendingRepr>,
+    pub(crate) queue: Vec<Pending>,
     pub(crate) staged: Option<ActivationInterval>,
     pub(crate) completed_cycles: Vec<u64>,
     pub(crate) scheduler: SchedulerState,
@@ -367,7 +327,7 @@ pub(crate) struct SessionState {
     pub(crate) round_base: Vec<u64>,
     pub(crate) round_diameters: Vec<(u64, f64)>,
     pub(crate) converged: bool,
-    pub(crate) status: String,
+    pub(crate) status: SessionStatus,
     /// Recorded cohesion violations; the monitor's reported-pair set is
     /// exactly their pair set, so it is rebuilt rather than stored.
     pub(crate) violations: Vec<ViolationRepr>,
@@ -380,6 +340,8 @@ pub(crate) struct SessionState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineEventKind;
+    use cohesion_scheduler::ScriptedScheduler;
 
     #[test]
     fn fnv1a_matches_the_frozen_hash_idiom() {
@@ -583,10 +545,10 @@ mod tests {
             ),
             (
                 |s| {
-                    s.engine.scheduler = SchedulerState::FSync {
-                        round: 1,
-                        queue: vec![bad_interval(1.0, 1.0)],
-                    }
+                    s.engine.scheduler = SchedulerState::Scripted(ScriptedScheduler::new(
+                        "tampered",
+                        vec![bad_interval(1.0, 1.0)],
+                    ))
                 },
                 "out of order",
             ),
@@ -599,7 +561,7 @@ mod tests {
                 "3 coordinates",
             ),
             (
-                |s| s.engine.queue[0].kind = "Look".to_string(),
+                |s| s.engine.queue[0].kind = EngineEventKind::Look,
                 "only Move phases",
             ),
             (|s| s.violations[0].b = s.violations[0].a, "with itself"),

@@ -40,7 +40,7 @@
 //! calendar queue (see [`crate::queue`]) with the historical `BinaryHeap`
 //! behind the same kind of knob.
 
-use crate::checkpoint::{EngineState, PendingRepr, RobotStateRepr};
+use crate::checkpoint::{EngineState, RobotStateRepr};
 use crate::queue::{EventQueue, Pending, QueuePath};
 use crate::state::{RobotState, RobotStates};
 use cohesion_geometry::DynamicGrid;
@@ -51,9 +51,10 @@ use cohesion_model::{
 use cohesion_scheduler::{ActivationInterval, ScheduleContext, ScheduleTrace, Scheduler};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use serde::{Deserialize, Serialize};
 
 /// What happened at an engine step.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum EngineEventKind {
     /// A robot performed its instantaneous Look (and, in our execution
     /// model, determined its destination from the snapshot).
@@ -583,7 +584,7 @@ where
             robots: (0..self.states.len())
                 .map(|i| RobotStateRepr::of(self.states.state(i)))
                 .collect(),
-            queue: self.queue.snapshot().iter().map(PendingRepr::of).collect(),
+            queue: self.queue.snapshot(),
             staged: self.staged,
             completed_cycles: self.completed_cycles.clone(),
             scheduler,
@@ -617,11 +618,12 @@ where
             .iter()
             .map(RobotStateRepr::to_state)
             .collect::<Result<Vec<RobotState<P>>, _>>()?;
-        let mut events = state
-            .queue
-            .iter()
-            .map(PendingRepr::to_pending)
-            .collect::<Result<Vec<_>, _>>()?;
+        if state.queue.iter().any(|p| p.kind == EngineEventKind::Look) {
+            return Err(
+                "checkpoint queue holds a 'Look' event (only Move phases are queued)".to_string(),
+            );
+        }
+        let mut events = state.queue.clone();
         self.scheduler.load_state(&state.scheduler)?;
         for (i, s) in robots.into_iter().enumerate() {
             self.states.set(i, s);

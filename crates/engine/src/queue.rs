@@ -38,6 +38,7 @@
 //! equivalence suite pins frozen report hashes under both paths.
 
 use cohesion_model::RobotId;
+use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::engine::EngineEventKind;
@@ -55,7 +56,8 @@ pub enum QueuePath {
 }
 
 /// A pending phase event (min-order by time, stable by sequence number).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Checkpoints store the queue as these, in pop order.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub(crate) struct Pending {
     pub(crate) time: f64,
     pub(crate) seq: u64,

@@ -57,11 +57,12 @@ use cohesion_geometry::Vec2;
 use cohesion_model::frame::Ambient;
 use cohesion_model::{Algorithm, Budget, Progress};
 use cohesion_scheduler::{ActivationInterval, ScheduleTrace, Scheduler};
+use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::rc::Rc;
 
 /// What state a [`Simulation`] session is in after a driver call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SessionStatus {
     /// The session can process more events (a slice budget may have been
     /// exhausted, but the run itself has not terminated).
@@ -505,13 +506,7 @@ impl<P: Ambient> Simulation<P> {
                 .map(|&(r, d)| (r as u64, d))
                 .collect(),
             converged: self.converged,
-            status: match self.status {
-                SessionStatus::Running => "Running",
-                SessionStatus::Converged => "Converged",
-                SessionStatus::BudgetExhausted => "BudgetExhausted",
-                SessionStatus::ScheduleExhausted => "ScheduleExhausted",
-            }
-            .to_string(),
+            status: self.status,
             violations: self
                 .cohesion
                 .violations()
@@ -570,13 +565,6 @@ impl<P: Ambient> Simulation<P> {
         if self.hull.is_some() != state.hull.is_some() {
             return Err("checkpoint and session disagree on hull monitoring".to_string());
         }
-        let status = match state.status.as_str() {
-            "Running" => SessionStatus::Running,
-            "Converged" => SessionStatus::Converged,
-            "BudgetExhausted" => SessionStatus::BudgetExhausted,
-            "ScheduleExhausted" => SessionStatus::ScheduleExhausted,
-            other => return Err(format!("unknown checkpoint session status '{other}'")),
-        };
         let violations = state
             .violations
             .iter()
@@ -612,7 +600,7 @@ impl<P: Ambient> Simulation<P> {
             .map(|&(r, d)| (r as usize, d))
             .collect();
         self.converged = state.converged;
-        self.status = status;
+        self.status = state.status;
         self.cohesion.restore(violations);
         if let (Some(m), Some(s)) = (self.strong.as_mut(), state.strong.as_ref()) {
             m.restore(s.acquired.clone(), s.ok, &self.positions)?;

@@ -138,11 +138,6 @@ impl<P: Point> DynamicGrid<P> {
         }
     }
 
-    /// The cell edge length.
-    pub fn cell_size(&self) -> f64 {
-        self.cell
-    }
-
     /// Number of present points.
     pub fn len(&self) -> usize {
         self.len

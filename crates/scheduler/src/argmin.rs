@@ -22,9 +22,14 @@
 //! interval and no RNG draw; the engine equivalence suites pin this end to
 //! end.
 
+use serde::__private::Value;
+use serde::{Deserialize, Serialize};
+
 /// A fixed-size array of `f64` keys supporting `O(√n)` point updates and
 /// `O(√n)` "index of the minimum" queries, with first-index tie-breaking.
-#[derive(Debug, Clone)]
+///
+/// Checkpointed as its key array; decoding rebuilds the block summaries.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ArgMin {
     /// Number of live keys.
     n: usize,
@@ -109,6 +114,26 @@ impl ArgMin {
             }
         }
         self.summary_index[best_block] as usize
+    }
+}
+
+impl Serialize for ArgMin {
+    fn serialize_json(&self, out: &mut String) {
+        self.values.serialize_json(out);
+    }
+}
+
+impl Deserialize for ArgMin {
+    fn deserialize_json(value: &Value) -> Result<Self, String> {
+        let values = Vec::<f64>::deserialize_json(value)?;
+        if values.is_empty() {
+            return Err("expected at least one fairness key, found none".to_string());
+        }
+        let mut tracker = ArgMin::new(values.len(), 0.0);
+        for (i, key) in values.into_iter().enumerate() {
+            tracker.set(i, key);
+        }
+        Ok(tracker)
     }
 }
 

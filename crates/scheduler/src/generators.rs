@@ -8,13 +8,16 @@
 //! use [`ScriptedScheduler`] with hand-built traces instead.
 
 use crate::argmin::ArgMin;
-use crate::checkpoint::{ProfileState, SchedulerState};
+use crate::checkpoint::SchedulerState;
 use crate::interval::ActivationInterval;
 use crate::{ScheduleContext, Scheduler};
 use cohesion_model::RobotId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use serde::__private::Value;
+use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
 
 fn state_mismatch(expect: &str, got: &SchedulerState) -> String {
     format!(
@@ -23,46 +26,47 @@ fn state_mismatch(expect: &str, got: &SchedulerState) -> String {
     )
 }
 
-fn profile_state(p: &DurationProfile) -> ProfileState {
-    [
-        p.compute.0,
-        p.compute.1,
-        p.move_phase.0,
-        p.move_phase.1,
-        p.jitter,
-    ]
-}
+/// A generator's RNG, checkpointed as its xoshiro256++ stream position
+/// (`[u64; 4]`).
+#[derive(Debug, Clone, PartialEq)]
+struct RngStream(SmallRng);
 
-fn profile_from_state(s: &ProfileState) -> DurationProfile {
-    DurationProfile {
-        compute: (s[0], s[1]),
-        move_phase: (s[2], s[3]),
-        jitter: s[4],
+impl Deref for RngStream {
+    type Target = SmallRng;
+
+    fn deref(&self) -> &SmallRng {
+        &self.0
     }
 }
 
-fn argmin_values(a: Option<&ArgMin>) -> Option<Vec<f64>> {
-    a.map(|a| (0..a.len()).map(|i| a.get(i)).collect())
-}
-
-fn argmin_from_values(v: Option<&Vec<f64>>) -> Option<ArgMin> {
-    let vals = v.filter(|vals| !vals.is_empty())?;
-    let mut a = ArgMin::new(vals.len(), 0.0);
-    for (i, &x) in vals.iter().enumerate() {
-        a.set(i, x);
+impl DerefMut for RngStream {
+    fn deref_mut(&mut self) -> &mut SmallRng {
+        &mut self.0
     }
-    Some(a)
 }
 
-/// Timing ranges used by the random generators.
+impl Serialize for RngStream {
+    fn serialize_json(&self, out: &mut String) {
+        self.0.state().serialize_json(out);
+    }
+}
+
+impl Deserialize for RngStream {
+    fn deserialize_json(value: &Value) -> Result<Self, String> {
+        <[u64; 4]>::deserialize_json(value).map(|s| RngStream(SmallRng::from_state(s)))
+    }
+}
+
+/// Timing ranges used by the random generators, checkpointed flat as
+/// `[compute_min, compute_max, move_min, move_max, jitter]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DurationProfile {
+struct DurationProfile {
     /// Compute-phase duration range.
-    pub compute: (f64, f64),
+    compute: (f64, f64),
     /// Move-phase duration range.
-    pub move_phase: (f64, f64),
+    move_phase: (f64, f64),
     /// Idle jitter added between activations.
-    pub jitter: f64,
+    jitter: f64,
 }
 
 impl Default for DurationProfile {
@@ -89,13 +93,35 @@ impl DurationProfile {
     }
 }
 
+impl Serialize for DurationProfile {
+    fn serialize_json(&self, out: &mut String) {
+        let DurationProfile {
+            compute: (c0, c1),
+            move_phase: (m0, m1),
+            jitter,
+        } = *self;
+        [c0, c1, m0, m1, jitter].serialize_json(out);
+    }
+}
+
+impl Deserialize for DurationProfile {
+    fn deserialize_json(value: &Value) -> Result<Self, String> {
+        let [c0, c1, m0, m1, jitter] = <[f64; 5]>::deserialize_json(value)?;
+        Ok(DurationProfile {
+            compute: (c0, c1),
+            move_phase: (m0, m1),
+            jitter,
+        })
+    }
+}
+
 // ---------------------------------------------------------------------------
 // FSync
 // ---------------------------------------------------------------------------
 
 /// Fully synchronous rounds: every robot activated in every round with
 /// identical phase boundaries (Figure 1, top).
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FSyncScheduler {
     round: u64,
     queue: VecDeque<ActivationInterval>,
@@ -139,17 +165,13 @@ impl Scheduler for FSyncScheduler {
     }
 
     fn save_state(&self) -> Option<SchedulerState> {
-        Some(SchedulerState::FSync {
-            round: self.round,
-            queue: self.queue.iter().copied().collect(),
-        })
+        Some(SchedulerState::FSync(self.clone()))
     }
 
     fn load_state(&mut self, state: &SchedulerState) -> Result<(), String> {
         match state {
-            SchedulerState::FSync { round, queue } => {
-                self.round = *round;
-                self.queue = queue.iter().copied().collect();
+            SchedulerState::FSync(saved) => {
+                *self = saved.clone();
                 Ok(())
             }
             other => Err(state_mismatch("FSync", other)),
@@ -164,9 +186,9 @@ impl Scheduler for FSyncScheduler {
 /// Semi-synchronous rounds: a random non-empty subset per round; fairness is
 /// forced by including any robot that has been skipped three rounds running
 /// (Figure 1, middle).
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SSyncScheduler {
-    rng: SmallRng,
+    rng: RngStream,
     round: u64,
     skip_counts: Vec<u32>,
     queue: VecDeque<ActivationInterval>,
@@ -178,7 +200,7 @@ impl SSyncScheduler {
     /// Creates the scheduler with the given RNG seed.
     pub fn new(seed: u64) -> Self {
         SSyncScheduler {
-            rng: SmallRng::seed_from_u64(seed),
+            rng: RngStream(SmallRng::seed_from_u64(seed)),
             round: 0,
             skip_counts: Vec::new(),
             queue: VecDeque::new(),
@@ -231,29 +253,13 @@ impl Scheduler for SSyncScheduler {
     }
 
     fn save_state(&self) -> Option<SchedulerState> {
-        Some(SchedulerState::SSync {
-            rng: self.rng.state(),
-            round: self.round,
-            skip_counts: self.skip_counts.clone(),
-            queue: self.queue.iter().copied().collect(),
-            inclusion_probability: self.inclusion_probability,
-        })
+        Some(SchedulerState::SSync(self.clone()))
     }
 
     fn load_state(&mut self, state: &SchedulerState) -> Result<(), String> {
         match state {
-            SchedulerState::SSync {
-                rng,
-                round,
-                skip_counts,
-                queue,
-                inclusion_probability,
-            } => {
-                self.rng = SmallRng::from_state(*rng);
-                self.round = *round;
-                self.skip_counts = skip_counts.clone();
-                self.queue = queue.iter().copied().collect();
-                self.inclusion_probability = *inclusion_probability;
+            SchedulerState::SSync(saved) => {
+                *self = saved.clone();
                 Ok(())
             }
             other => Err(state_mismatch("SSync", other)),
@@ -273,10 +279,10 @@ impl Scheduler for SSyncScheduler {
 /// that would exceed the budget by postponing them past the end of the
 /// constraining interval, so every emitted trace is `k`-Async by
 /// construction (checked in tests via [`crate::validate::minimal_async_k`]).
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KAsyncScheduler {
     k: u32,
-    rng: SmallRng,
+    rng: RngStream,
     profile: DurationProfile,
     clock: f64,
     /// Per-robot earliest re-activation times behind an `O(log n)` indexed
@@ -296,18 +302,12 @@ impl KAsyncScheduler {
         assert!(k >= 1, "k-Async needs k ≥ 1");
         KAsyncScheduler {
             k,
-            rng: SmallRng::seed_from_u64(seed),
+            rng: RngStream(SmallRng::seed_from_u64(seed)),
             profile: DurationProfile::default(),
             clock: 0.0,
             next_free: None,
             history: Vec::new(),
         }
-    }
-
-    /// Replaces the duration profile (builder style).
-    pub fn with_profile(mut self, profile: DurationProfile) -> Self {
-        self.profile = profile;
-        self
     }
 
     /// The bound `k`.
@@ -376,37 +376,17 @@ impl Scheduler for KAsyncScheduler {
     }
 
     fn save_state(&self) -> Option<SchedulerState> {
-        Some(SchedulerState::KAsync {
-            k: self.k,
-            rng: self.rng.state(),
-            profile: profile_state(&self.profile),
-            clock: self.clock,
-            next_free: argmin_values(self.next_free.as_ref()),
-            history: self.history.clone(),
-        })
+        Some(SchedulerState::KAsync(self.clone()))
     }
 
     fn load_state(&mut self, state: &SchedulerState) -> Result<(), String> {
         match state {
-            SchedulerState::KAsync {
-                k,
-                rng,
-                profile,
-                clock,
-                next_free,
-                history,
-            } => {
-                if *k != self.k {
-                    return Err(format!(
-                        "k-Async checkpoint has k={k}, scheduler has k={}",
-                        self.k
-                    ));
-                }
-                self.rng = SmallRng::from_state(*rng);
-                self.profile = profile_from_state(profile);
-                self.clock = *clock;
-                self.next_free = argmin_from_values(next_free.as_ref());
-                self.history = history.clone();
+            SchedulerState::KAsync(saved) if saved.k != self.k => Err(format!(
+                "k-Async checkpoint has k={}, scheduler has k={}",
+                saved.k, self.k
+            )),
+            SchedulerState::KAsync(saved) => {
+                *self = saved.clone();
                 Ok(())
             }
             other => Err(state_mismatch("k-Async", other)),
@@ -425,10 +405,10 @@ impl Scheduler for KAsyncScheduler {
 /// Generates *activation events* in the shape the paper's §4.1 analysis uses:
 /// an outer interval of one robot (rotating, for fairness) containing, for
 /// each other robot, between 1 and `k` sequential nested intervals.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NestAScheduler {
     k: u32,
-    rng: SmallRng,
+    rng: RngStream,
     clock: f64,
     next_outer: usize,
     queue: VecDeque<ActivationInterval>,
@@ -444,7 +424,7 @@ impl NestAScheduler {
         assert!(k >= 1, "k-NestA needs k ≥ 1");
         NestAScheduler {
             k,
-            rng: SmallRng::seed_from_u64(seed),
+            rng: RngStream(SmallRng::seed_from_u64(seed)),
             clock: 0.0,
             next_outer: 0,
             queue: VecDeque::new(),
@@ -538,36 +518,17 @@ impl Scheduler for NestAScheduler {
     }
 
     fn save_state(&self) -> Option<SchedulerState> {
-        Some(SchedulerState::NestA {
-            k: self.k,
-            rng: self.rng.state(),
-            clock: self.clock,
-            next_outer: self.next_outer as u64,
-            queue: self.queue.iter().copied().collect(),
-        })
+        Some(SchedulerState::NestA(self.clone()))
     }
 
     fn load_state(&mut self, state: &SchedulerState) -> Result<(), String> {
         match state {
-            SchedulerState::NestA {
-                k,
-                rng,
-                clock,
-                next_outer,
-                queue,
-            } => {
-                if *k != self.k {
-                    return Err(format!(
-                        "k-NestA checkpoint has k={k}, scheduler has k={}",
-                        self.k
-                    ));
-                }
-                self.rng = SmallRng::from_state(*rng);
-                self.clock = *clock;
-                self.next_outer = usize::try_from(*next_outer).map_err(|_| {
-                    "k-NestA checkpoint rotation counter overflows usize".to_string()
-                })?;
-                self.queue = queue.iter().copied().collect();
+            SchedulerState::NestA(saved) if saved.k != self.k => Err(format!(
+                "k-NestA checkpoint has k={}, scheduler has k={}",
+                saved.k, self.k
+            )),
+            SchedulerState::NestA(saved) => {
+                *self = saved.clone();
                 Ok(())
             }
             other => Err(state_mismatch("k-NestA", other)),
@@ -583,9 +544,9 @@ impl Scheduler for NestAScheduler {
 /// durations, fairness only (Figure 1, bottom). Occasionally stretches a
 /// Move far beyond the usual profile, which is exactly the freedom that the
 /// §7 impossibility construction weaponizes.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AsyncScheduler {
-    rng: SmallRng,
+    rng: RngStream,
     profile: DurationProfile,
     clock: f64,
     /// Per-robot earliest re-activation times behind an `O(log n)` indexed
@@ -600,18 +561,12 @@ impl AsyncScheduler {
     /// Creates the scheduler with the given RNG seed.
     pub fn new(seed: u64) -> Self {
         AsyncScheduler {
-            rng: SmallRng::seed_from_u64(seed),
+            rng: RngStream(SmallRng::seed_from_u64(seed)),
             profile: DurationProfile::default(),
             clock: 0.0,
             next_free: None,
             stretch_probability: 0.1,
         }
-    }
-
-    /// Replaces the duration profile (builder style).
-    pub fn with_profile(mut self, profile: DurationProfile) -> Self {
-        self.profile = profile;
-        self
     }
 }
 
@@ -641,29 +596,13 @@ impl Scheduler for AsyncScheduler {
     }
 
     fn save_state(&self) -> Option<SchedulerState> {
-        Some(SchedulerState::Async {
-            rng: self.rng.state(),
-            profile: profile_state(&self.profile),
-            clock: self.clock,
-            next_free: argmin_values(self.next_free.as_ref()),
-            stretch_probability: self.stretch_probability,
-        })
+        Some(SchedulerState::Async(self.clone()))
     }
 
     fn load_state(&mut self, state: &SchedulerState) -> Result<(), String> {
         match state {
-            SchedulerState::Async {
-                rng,
-                profile,
-                clock,
-                next_free,
-                stretch_probability,
-            } => {
-                self.rng = SmallRng::from_state(*rng);
-                self.profile = profile_from_state(profile);
-                self.clock = *clock;
-                self.next_free = argmin_from_values(next_free.as_ref());
-                self.stretch_probability = *stretch_probability;
+            SchedulerState::Async(saved) => {
+                *self = saved.clone();
                 Ok(())
             }
             other => Err(state_mismatch("Async", other)),
@@ -679,7 +618,7 @@ impl Scheduler for AsyncScheduler {
 /// at any time, in round-robin order. A strict special case of SSync (every
 /// round a singleton) and therefore of every model in the paper — useful as
 /// the weakest-adversary control in experiments.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CentralizedScheduler {
     next: usize,
     clock: f64,
@@ -719,19 +658,13 @@ impl Scheduler for CentralizedScheduler {
     }
 
     fn save_state(&self) -> Option<SchedulerState> {
-        Some(SchedulerState::Centralized {
-            next: self.next as u64,
-            clock: self.clock,
-        })
+        Some(SchedulerState::Centralized(self.clone()))
     }
 
     fn load_state(&mut self, state: &SchedulerState) -> Result<(), String> {
         match state {
-            SchedulerState::Centralized { next, clock } => {
-                self.next = usize::try_from(*next).map_err(|_| {
-                    "Centralized checkpoint rotation counter overflows usize".to_string()
-                })?;
-                self.clock = *clock;
+            SchedulerState::Centralized(saved) => {
+                *self = saved.clone();
                 Ok(())
             }
             other => Err(state_mismatch("Centralized", other)),
@@ -746,10 +679,10 @@ impl Scheduler for CentralizedScheduler {
 /// Replays a hand-built, finite activation timeline — the tool for the
 /// paper's exact counterexamples (Figure 4) and the §7 sliver-flattening
 /// adversary.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScriptedScheduler {
-    queue: VecDeque<ActivationInterval>,
     name: String,
+    queue: VecDeque<ActivationInterval>,
 }
 
 impl ScriptedScheduler {
@@ -757,8 +690,8 @@ impl ScriptedScheduler {
     pub fn new(name: impl Into<String>, mut intervals: Vec<ActivationInterval>) -> Self {
         intervals.sort_by(|a, b| a.look.partial_cmp(&b.look).expect("finite times"));
         ScriptedScheduler {
-            queue: intervals.into(),
             name: name.into(),
+            queue: intervals.into(),
         }
     }
 
@@ -778,22 +711,17 @@ impl Scheduler for ScriptedScheduler {
     }
 
     fn save_state(&self) -> Option<SchedulerState> {
-        Some(SchedulerState::Scripted {
-            name: self.name.clone(),
-            queue: self.queue.iter().copied().collect(),
-        })
+        Some(SchedulerState::Scripted(self.clone()))
     }
 
     fn load_state(&mut self, state: &SchedulerState) -> Result<(), String> {
         match state {
-            SchedulerState::Scripted { name, queue } => {
-                if *name != self.name {
-                    return Err(format!(
-                        "scripted checkpoint is for '{name}', scheduler is '{}'",
-                        self.name
-                    ));
-                }
-                self.queue = queue.iter().copied().collect();
+            SchedulerState::Scripted(saved) if saved.name != self.name => Err(format!(
+                "scripted checkpoint is for '{}', scheduler is '{}'",
+                saved.name, self.name
+            )),
+            SchedulerState::Scripted(saved) => {
+                *self = saved.clone();
                 Ok(())
             }
             other => Err(state_mismatch("Scripted", other)),
