@@ -85,10 +85,11 @@ fn bench_visibility_graph(c: &mut Criterion) {
 }
 
 fn bench_monitor_step(c: &mut Criterion) {
-    // One engine event's worth of predicate checking at n = 256: the
-    // incremental path re-checks pairs incident to a single moved robot;
-    // the full sweep (all robots dirty) is what the historical inline
-    // checks paid at *every* event.
+    // One engine event's worth of cohesion and strong-visibility checking
+    // at n = 256: one dirty robot, or all of them (the historical inline
+    // checks judged every pair at *every* event). Each dirty robot costs a
+    // displacement test plus its hot pairs — the pairs its certificates
+    // leave near a threshold.
     let mut group = c.benchmark_group("monitor_step");
     let n = 256usize;
     let config = cohesion_workloads::random_connected(n, 1.0, 11);

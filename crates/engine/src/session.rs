@@ -438,6 +438,13 @@ impl<P: Ambient> Simulation<P> {
         self.strong.as_ref()
     }
 
+    /// The cohesion monitor (read-only): the violations so far and its
+    /// work counter.
+    #[must_use]
+    pub fn cohesion_monitor(&self) -> &CohesionMonitor {
+        &self.cohesion
+    }
+
     /// The diameter monitor (read-only): the samples so far and its work
     /// counter.
     #[must_use]
@@ -695,8 +702,9 @@ impl<P: Ambient> Simulation<P> {
         };
 
         // Cohesion at every event: event times are exactly where
-        // piecewise-linear pair distances attain maxima, so checking dirty
-        // pairs at event boundaries is exhaustive.
+        // piecewise-linear pair distances attain maxima, so judging dirty
+        // pairs at event boundaries is exhaustive (the monitor skips those
+        // its certificates show cannot have crossed).
         Observer::on_event(&mut self.cohesion, &view);
         if let Some(m) = self.strong.as_mut() {
             Observer::on_event(m, &view);

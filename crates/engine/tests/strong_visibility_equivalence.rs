@@ -1,30 +1,36 @@
-//! The grid-backed strong-visibility monitor against the historical
-//! dirty-set sweep, word for word, after every event.
+//! The certificate-driven pair monitors against the historical per-event
+//! sweeps, word for word, after every event.
 //!
-//! `StrongVisibilityMonitor` finds acquisitions through a grid over the
-//! current positions and violations through the acquired partners of each
-//! dirty robot. The sweep it replaced judged every robot against every
-//! dirty one (`O(|dirty| · n)` per event); it lives on here as the
-//! reference. Both are driven by the same session events — a lockstep
-//! observer feeds each event's monitor context to both and compares the
-//! acquired bitset and the verdict — across dense and sparse lattices,
-//! random swarms, 3D, swarm-wide visibility, a run that really breaks the
-//! clause (Ando under the Figure 4(a) 1-Async script), and a checkpoint
-//! restore after robots have left the grid cells they started in.
+//! `StrongVisibilityMonitor` and `CohesionMonitor` judge only the pairs
+//! their displacement certificates leave hot. The sweeps they replaced
+//! judged every robot against every dirty one (strong visibility,
+//! `O(|dirty| · n)` per event) and every initial edge (cohesion); they
+//! live on here as the references. Both are driven by the same session
+//! events — a lockstep observer feeds each event's monitor context to both
+//! and compares the acquired bitset and the verdict, or the violation list
+//! — across dense and sparse lattices, random swarms, 3D, swarm-wide
+//! visibility, runs that really break the clauses (Ando under the Figure
+//! 4(a) 1-Async script and under unbounded Async), and a checkpoint restore
+//! after robots have left the grid cells they started in. A property test
+//! drives both pairs of monitors through small-step motion far from the
+//! origin and within a few ulps of every threshold and certificate edge.
 //!
-//! The deterministic work counters of the two sublinear monitors are
-//! pinned at the end.
+//! The deterministic work counters of the monitors are pinned at the end.
 
 use cohesion_engine::{
-    Budget, Checkpoint, EventView, Monitor, MonitorContext, Observer, SimulationBuilder,
-    StrongVisibilityMonitor,
+    Budget, Checkpoint, CohesionMonitor, EventView, Monitor, MonitorContext, Observer,
+    SimulationBuilder, StrongVisibilityMonitor,
 };
 use cohesion_geometry::point::Point;
 use cohesion_geometry::{Vec2, Vec3};
 use cohesion_model::frame::Ambient;
-use cohesion_model::{Configuration, FrameMode};
+use cohesion_model::{Configuration, FrameMode, PerceptionModel, VisibilityGraph};
 use cohesion_scheduler::{AsyncScheduler, KAsyncScheduler, ScriptedScheduler};
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 /// The pre-grid monitor, verbatim: every robot against every dirty one,
@@ -302,13 +308,196 @@ fn ando_separation_trips_both_monitors() {
     assert_eq!(builder().run().strong_visibility_ok, Some(false));
 }
 
+/// The historical cohesion check: every initial edge at every event, a
+/// violation recorded at its first observation, simultaneous ones in pair
+/// order.
+struct BruteCohesion {
+    /// Ascending `(a, b)` pairs, `a < b`.
+    edges: Vec<(usize, usize)>,
+    /// `V + tol`.
+    limit: f64,
+    violated: BTreeSet<(usize, usize)>,
+    /// `(a, b, time bits, distance bits)` per violation.
+    violations: Vec<(usize, usize, u64, u64)>,
+}
+
+impl BruteCohesion {
+    fn new(mut edges: Vec<(usize, usize)>, v: f64, tol: f64) -> Self {
+        edges.sort_unstable();
+        BruteCohesion {
+            edges,
+            limit: v + tol,
+            violated: BTreeSet::new(),
+            violations: Vec::new(),
+        }
+    }
+}
+
+impl<P: Ambient> Monitor<P> for BruteCohesion {
+    fn on_event(&mut self, ctx: &MonitorContext<'_, P>) {
+        for &(a, b) in &self.edges {
+            let d = ctx.positions[a].dist(ctx.positions[b]);
+            if d > self.limit && self.violated.insert((a, b)) {
+                self.violations
+                    .push((a, b, ctx.time.to_bits(), d.to_bits()));
+            }
+        }
+    }
+}
+
+/// A cohesion monitor's violations in the reference's terms.
+fn violation_bits(monitor: &CohesionMonitor) -> Vec<(usize, usize, u64, u64)> {
+    monitor
+        .violations()
+        .iter()
+        .map(|v| {
+            (
+                v.pair.a.index(),
+                v.pair.b.index(),
+                v.time.to_bits(),
+                v.distance.to_bits(),
+            )
+        })
+        .collect()
+}
+
+/// The initial edges `E(0)` at visibility `v`.
+fn initial_edges<P: Point>(initial: &Configuration<P>, v: f64) -> Vec<(usize, usize)> {
+    VisibilityGraph::from_configuration(initial, v)
+        .edges()
+        .iter()
+        .map(|e| (e.a.index(), e.b.index()))
+        .collect()
+}
+
+/// Drives a certificate cohesion monitor and the reference off a session's
+/// event stream, comparing their violations after every event.
+struct CohesionLockstep {
+    label: &'static str,
+    monitor: CohesionMonitor,
+    brute: BruteCohesion,
+    events: usize,
+}
+
+impl<P: Ambient> Observer<P> for CohesionLockstep {
+    fn on_event(&mut self, view: &EventView<'_, P>) {
+        Monitor::on_event(&mut self.monitor, &view.monitors);
+        Monitor::on_event(&mut self.brute, &view.monitors);
+        self.events += 1;
+        assert_eq!(
+            violation_bits(&self.monitor),
+            self.brute.violations,
+            "{}: violations diverged after {} events",
+            self.label,
+            self.events
+        );
+    }
+}
+
+/// Runs `builder` to completion with a cohesion lockstep observer over the
+/// initial edges at the session's visibility `v`. Returns the events and
+/// the reference's violation count.
+fn cohesion_lockstep(
+    label: &'static str,
+    builder: SimulationBuilder,
+    initial: &Configuration,
+    v: f64,
+) -> (usize, usize) {
+    let tol = 1e-9 * (1.0 + v);
+    let edges = initial_edges(initial, v);
+    let observer = Rc::new(RefCell::new(CohesionLockstep {
+        label,
+        monitor: CohesionMonitor::new(initial.len(), &edges, |_, _| v, tol),
+        brute: BruteCohesion::new(edges, v, tol),
+        events: 0,
+    }));
+    let mut sim = builder.build();
+    sim.observe(Rc::clone(&observer));
+    while !sim.step().is_terminal() {}
+    let observer = observer.borrow();
+    assert_eq!(
+        observer.events,
+        sim.events(),
+        "{label}: observer missed events"
+    );
+    assert_eq!(
+        violation_bits(sim.cohesion_monitor()),
+        observer.brute.violations,
+        "{label}: the session's own monitor diverged"
+    );
+    (observer.events, observer.brute.violations.len())
+}
+
+/// Ando under the Figure 4(a) 1-Async script breaks the initial edge X–Y:
+/// the violation must land on the same event with the same distance.
+#[test]
+fn cohesion_matches_the_sweep_under_the_ando_script() {
+    use cohesion_adversary::ando_counterexample::{figure4_configuration, figure4a_schedule, V};
+    let builder = SimulationBuilder::new(
+        figure4_configuration(),
+        cohesion_algorithms::ando::AndoAlgorithm::new(V),
+    )
+    .visibility(V)
+    .scheduler(ScriptedScheduler::new("figure4a", figure4a_schedule()))
+    .epsilon(1e-6)
+    .frame_mode(FrameMode::Aligned);
+    let (events, violations) =
+        cohesion_lockstep("ando 1-async", builder, &figure4_configuration(), V);
+    assert!(
+        violations > 0,
+        "the script must break an edge ({events} events)"
+    );
+}
+
+/// Ando under unbounded Async on a random swarm, with a 20% distance
+/// perception error it does not tolerate: many edges break over the run,
+/// each observed first at the same event as by the sweep.
+#[test]
+fn cohesion_matches_the_sweep_under_unbounded_ando() {
+    let initial = cohesion_workloads::random_connected(60, 1.0, 4);
+    let builder = SimulationBuilder::new(
+        initial.clone(),
+        cohesion_algorithms::ando::AndoAlgorithm::new(1.0),
+    )
+    .visibility(1.0)
+    .scheduler(AsyncScheduler::new(104))
+    .seed(4)
+    .perception(PerceptionModel::new(0.2, 0.0))
+    .frame_mode(FrameMode::Aligned)
+    .max_events(20_000);
+    let (events, violations) = cohesion_lockstep("ando async", builder, &initial, 1.0);
+    assert!(
+        violations > 5,
+        "{violations} edges broke in {events} events"
+    );
+}
+
+/// Kirkpatrick under 2-Async keeps every edge while the swarm contracts to
+/// a point: the monitor must stay silent all the way to convergence.
+#[test]
+fn cohesion_matches_the_sweep_on_a_converging_run() {
+    let initial = cohesion_workloads::random_connected(60, 1.0, 91);
+    let builder =
+        SimulationBuilder::new(initial.clone(), cohesion_core::KirkpatrickAlgorithm::new(2))
+            .visibility(1.0)
+            .scheduler(KAsyncScheduler::new(2, 92))
+            .seed(93)
+            .epsilon(0.05)
+            .max_events(400_000);
+    let (events, violations) = cohesion_lockstep("kirkpatrick 2-async", builder, &initial, 1.0);
+    assert_eq!(violations, 0);
+    assert!(events < 400_000, "the run must converge");
+}
+
 /// Save → JSON → restore into a freshly built session once robots have
 /// moved more than a grid cell from where they started. The restored
-/// monitor must re-bucket at the restored positions, not the initial ones:
-/// its acquired set must track the reference (carried across the cut) and
-/// its grid candidates — counted by `pair_checks` — must match the
-/// uninterrupted session's, event by event. A stale bucket shows in the
-/// counts even when it misses no acquisition.
+/// monitor must re-anchor at the restored positions, not the initial ones:
+/// its acquired set must track the reference (carried across the cut), and
+/// the tail must acquire new pairs through the restored grid. (Anchors are
+/// derived state, so the restored monitor's work differs from the
+/// uninterrupted one's; the monitor-level restore tests in `monitors.rs`
+/// step a restored monitor into an acquisition and a violation that stale
+/// anchors would certify away.)
 #[test]
 fn checkpoint_restore_resyncs_the_grid() {
     let (v, cut) = (1.0, 8_000);
@@ -343,12 +532,6 @@ fn checkpoint_restore_resyncs_the_grid() {
     let brute = Rc::new(RefCell::new(brute.borrow().clone()));
     let acquired_at_cut = brute.borrow().acquired_pairs();
     resumed.observe(Rc::clone(&brute));
-    let checks = |sim: &cohesion_engine::Simulation| {
-        sim.strong_visibility()
-            .expect("tracked by default")
-            .pair_checks()
-    };
-    let checks_at_cut = checks(&original);
     let mut tail = 0;
     loop {
         let monitor = resumed.strong_visibility().expect("tracked by default");
@@ -358,11 +541,6 @@ fn checkpoint_restore_resyncs_the_grid() {
             "acquired sets diverged {tail} events after the restore"
         );
         assert_eq!(monitor.ok(), brute.borrow().ok);
-        assert_eq!(
-            checks(&resumed),
-            checks(&original) - checks_at_cut,
-            "grid candidates diverged {tail} events after the restore"
-        );
         let status = resumed.step();
         assert_eq!(original.step(), status);
         if status.is_terminal() {
@@ -377,11 +555,11 @@ fn checkpoint_restore_resyncs_the_grid() {
     );
 }
 
-/// The two sublinear monitors' work counters on a fixed-seed 16×16
+/// The pair and diameter monitors' work counters on a fixed-seed 16×16
 /// lattice session with the builder's default cadences. Exact and
 /// hardware-independent: an algorithmic regression (a wider grid probe, a
-/// lost prune) moves them. Both stay far below the all-pairs work they
-/// replaced.
+/// lost prune, a looser certificate) moves them. All stay far below the
+/// all-pairs work they replaced.
 #[test]
 fn work_counters_are_pinned() {
     let initial = cohesion_workloads::grid(16, 16, 0.9);
@@ -406,6 +584,7 @@ fn work_counters_are_pinned() {
         .strong_visibility()
         .expect("tracked by default")
         .pair_checks();
+    let cohesion = sim.cohesion_monitor().pair_checks();
     let diameter = sim.diameter_monitor().pair_checks();
     let samples = sim.diameter_monitor().series().len() as u64 - 1;
     assert_eq!(sim.events(), 4_000);
@@ -415,5 +594,215 @@ fn work_counters_are_pinned() {
         diameter * 20 < samples * n * (n - 1) / 2,
         "{diameter} over {samples}"
     );
-    assert_eq!((strong, diameter), (191_120, 32_281), "pinned work counts");
+    assert_eq!(
+        (strong, cohesion, diameter),
+        (66, 524, 32_281),
+        "pinned work counts"
+    );
+}
+
+/// The skin the monitors' docs state, `V/16` at `V = 1`: the certificate
+/// edges sit `S` inside the violation threshold and `S` outside the
+/// acquisition radius, and each robot may drift `S/2` from its anchor.
+const SKIN: f64 = 1.0 / 16.0;
+
+/// `x` moved by `ulps` units in the last place (`x` positive).
+fn ulps_from(x: f64, ulps: i64) -> f64 {
+    f64::from_bits((x.to_bits() as i64 + ulps) as u64)
+}
+
+/// Both pair monitors and both references at `V = 1` over robot pairs
+/// `(2j, 2j + 1)` (the cohesion edges), stepped by hand: after every event
+/// they must agree on every acquired bit, the verdict and every violation,
+/// bit for bit.
+struct Rig {
+    positions: Vec<Vec2>,
+    strong: StrongVisibilityMonitor,
+    brute_strong: BruteStrongMonitor,
+    cohesion: CohesionMonitor,
+    brute_cohesion: BruteCohesion,
+    events: usize,
+}
+
+impl Rig {
+    const V: f64 = 1.0;
+    const TOL: f64 = 2e-9;
+
+    fn new(positions: Vec<Vec2>) -> Self {
+        let n = positions.len();
+        let edges: Vec<(usize, usize)> = (0..n / 2).map(|j| (2 * j, 2 * j + 1)).collect();
+        let (v, tol) = (Self::V, Self::TOL);
+        Rig {
+            strong: StrongVisibilityMonitor::new(v, tol, &positions),
+            brute_strong: BruteStrongMonitor::new(v, tol, &positions),
+            cohesion: CohesionMonitor::new(n, &edges, |_, _| v, tol),
+            brute_cohesion: BruteCohesion::new(edges, v, tol),
+            positions,
+            events: 0,
+        }
+    }
+
+    /// One event moving each listed robot (at most once) to its new spot.
+    fn step(&mut self, mut moves: Vec<(usize, Vec2)>) {
+        moves.sort_unstable_by_key(|&(r, _)| r);
+        let mut dirty_mask = vec![false; self.positions.len()];
+        for &(r, p) in &moves {
+            self.positions[r] = p;
+            dirty_mask[r] = true;
+        }
+        let dirty: Vec<usize> = moves.iter().map(|&(r, _)| r).collect();
+        self.events += 1;
+        let ctx = MonitorContext {
+            time: self.events as f64,
+            events: self.events,
+            positions: &self.positions,
+            dirty: &dirty,
+            dirty_mask: &dirty_mask,
+            hull_points: &|out: &mut Vec<Vec2>| out.clear(),
+        };
+        Monitor::on_event(&mut self.strong, &ctx);
+        Monitor::on_event(&mut self.brute_strong, &ctx);
+        Monitor::on_event(&mut self.cohesion, &ctx);
+        Monitor::on_event(&mut self.brute_cohesion, &ctx);
+        let event = self.events;
+        assert_eq!(
+            self.strong.acquired_bits(),
+            self.brute_strong.acquired,
+            "event {event}"
+        );
+        assert_eq!(self.strong.ok(), self.brute_strong.ok, "event {event}");
+        assert_eq!(
+            violation_bits(&self.cohesion),
+            self.brute_cohesion.violations,
+            "event {event}"
+        );
+    }
+}
+
+/// The farthest point from `p` along `dir` that the displacement budget
+/// `S/2` still admits, as the monitors compute it.
+fn budget_push(p: Vec2, dir: Vec2) -> Vec2 {
+    let budget = SKIN / 2.0;
+    let mut best = p;
+    for ulps in -16..=64 {
+        let q = p + dir * ulps_from(budget, ulps);
+        if q.dist_sq(p) <= budget * budget {
+            best = q;
+        }
+    }
+    best
+}
+
+/// A partner for `a` along `dir` whose computed distance from `a` is the
+/// one nearest `goal` on the side `above` (or below) it, searched over a
+/// few hundred ulps of separation.
+fn partner_at(a: Vec2, dir: Vec2, goal: f64, above: bool) -> Vec2 {
+    let mut best: Option<(f64, Vec2)> = None;
+    for ulps in -256..=256 {
+        let b = a + dir * ulps_from(goal, ulps);
+        let d = a.dist(b);
+        let on_side = if above { d >= goal } else { d <= goal };
+        if on_side && best.map_or(true, |(e, _)| (d - goal).abs() < (e - goal).abs()) {
+            best = Some((d, b));
+        }
+    }
+    best.map_or(a + dir * goal, |(_, b)| b)
+}
+
+/// Pairs at `origin` along one axis whose computed anchor distances run
+/// through the last ulps inside each certificate edge — `limit − S` for an
+/// acquired pair, `V/2 + tol + S` for an unacquired one — then pushed apart,
+/// respectively together, by the whole displacement budget. Whatever the
+/// rounding slack, some pair sits on its certificate's edge, where only the
+/// slack keeps a certified pair from crossing its threshold unjudged.
+fn certificate_edges(origin: Vec2, theta: f64) {
+    let (half, limit) = (Rig::V / 2.0 + Rig::TOL, Rig::V + Rig::TOL);
+    let axis = Vec2::new(theta.cos(), theta.sin());
+    for ulps in 0..24 {
+        for (start, goal, above, sign) in [
+            (0.4, ulps_from(limit - SKIN, -ulps), false, 1.0),
+            (0.9, ulps_from(half + SKIN, ulps), true, -1.0),
+        ] {
+            let mut rig = Rig::new(vec![origin, origin + axis * start]);
+            rig.step(vec![(1, partner_at(origin, axis, goal, above))]);
+            let (a, b) = (rig.positions[0], rig.positions[1]);
+            rig.step(vec![
+                (0, budget_push(a, axis * -sign)),
+                (1, budget_push(b, axis * sign)),
+            ]);
+        }
+    }
+}
+
+/// Random small-step motion: `pairs` robot pairs side by side around
+/// `origin`, each started acquired (`0.4` apart) or not (`0.9` apart),
+/// jumped to within a few ulps of a threshold or a certificate edge, then
+/// moved for `steps` events by budget-sized pushes along the pair axes and
+/// random small steps.
+fn random_steps(origin: Vec2, seed: u64, pairs: usize, steps: usize) {
+    let (half, limit) = (Rig::V / 2.0 + Rig::TOL, Rig::V + Rig::TOL);
+    let budget = SKIN / 2.0;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut axes = Vec::new();
+    let mut targets = Vec::new();
+    let mut positions = Vec::new();
+    for j in 0..pairs {
+        let theta: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
+        let axis = Vec2::new(theta.cos(), theta.sin());
+        let (edge, start) = match rng.gen_range(0..4u32) {
+            0 => (half, 0.9),
+            1 => (half + SKIN, 0.9),
+            2 => (limit, 0.4),
+            _ => (limit - SKIN, 0.4),
+        };
+        let a = origin + Vec2::new(2.5 * j as f64, 0.0);
+        positions.push(a);
+        positions.push(a + axis * start);
+        axes.push(axis);
+        targets.push(ulps_from(edge, rng.gen_range(-4..=4)));
+    }
+    let mut rig = Rig::new(positions);
+    let jump = (0..pairs)
+        .map(|j| (2 * j + 1, rig.positions[2 * j] + axes[j] * targets[j]))
+        .collect();
+    rig.step(jump);
+    for _ in 0..steps {
+        let mut moves = Vec::new();
+        for (j, &axis) in axes.iter().enumerate() {
+            let (a, b) = (2 * j, 2 * j + 1);
+            if rng.gen_bool(0.5) {
+                let push = axis * ulps_from(budget, rng.gen_range(-2..=2));
+                let push = if rng.gen_bool(0.5) { push } else { -push };
+                moves.push((a, rig.positions[a] - push));
+                moves.push((b, rig.positions[b] + push));
+            } else if rng.gen_bool(0.5) {
+                let r = if rng.gen_bool(0.5) { a } else { b };
+                let theta: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
+                let step = Vec2::new(theta.cos(), theta.sin()) * rng.gen_range(0.0..1.5 * budget);
+                moves.push((r, rig.positions[r] + step));
+            }
+        }
+        rig.step(moves);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Motion within a few ulps of `V/2 + tol`, `V + tol` and the
+    /// certificate edges, near the origin and in clouds offset by `2^20`,
+    /// `2^30` and `2^40 · V`: where the rounding slack is tight.
+    #[test]
+    fn certificates_hold_within_ulps_of_every_threshold(
+        cloud in 0usize..4,
+        theta in 0.0..std::f64::consts::TAU,
+        seed in any::<u64>(),
+    ) {
+        let scale = [0.0, 2f64.powi(20), 2f64.powi(30), 2f64.powi(40)][cloud];
+        let origin = Vec2::new(scale, 0.75 * scale);
+        for turn in 0..4 {
+            certificate_edges(origin, theta + 0.39 * turn as f64);
+        }
+        random_steps(origin, seed, 6, 24);
+    }
 }
